@@ -222,13 +222,19 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     results = [run_one(args.only)] if args.only else list(run_all())
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.number:>2}  {status}  {r.name:<{width}}  "
-              f"{r.seconds:7.1f}s  {r.detail}")
     ok = all(r.passed for r in results)
-    print("all criteria passed" if ok else "FAILURES present")
+    width = max(len(r.name) for r in results)
+    lines = [f"{r.number:>2}  {'PASS' if r.passed else 'FAIL'}  "
+             f"{r.name:<{width}}  {r.seconds:7.1f}s  {r.detail}"
+             for r in results]
+    lines.append("all criteria passed" if ok else "FAILURES present")
+    _emit(args,
+          {"command": "reproduce",
+           "criteria": [{"number": r.number, "name": r.name,
+                         "passed": r.passed, "seconds": r.seconds,
+                         "detail": r.detail} for r in results],
+           "all_passed": ok},
+          "\n".join(lines))
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

@@ -107,6 +107,26 @@ class SignedGraph:
     def loop_edge_ids(self) -> frozenset:
         return frozenset(e.eid for e in self.edges if e.is_loop)
 
+    @cached_property
+    def negative_mask(self) -> int:
+        """Bitmask of the negative edge ids (bit eid set iff negative)."""
+        return sum(1 << eid for eid in self.negative_edge_ids)
+
+    @cached_property
+    def incidence_masks(self) -> dict:
+        """Vertex -> bitmask of its incident non-loop edge ids.
+
+        Switching at v flips exactly the edges in its mask, and the
+        boundary of a vertex set is the XOR of its members' masks (an edge
+        with both ends inside cancels).
+        """
+        out = dict.fromkeys(self.vertices, 0)
+        for e in self.edges:
+            if not e.is_loop:
+                out[e.u] |= 1 << e.eid
+                out[e.v] |= 1 << e.eid
+        return out
+
     def check_vertices(self, vs: Iterable[Vertex]) -> None:
         for v in vs:
             if v not in self.vindex:
@@ -307,27 +327,7 @@ def cycle_sign(g: SignedGraph, c: Cycle) -> int:
 
 def is_balanced(g: SignedGraph) -> bool:
     """True iff g contains no negative cycle (switchable to all-positive)."""
-    if any(g.edges[e].sign == NEG for e in g.loop_edge_ids):
-        return False
-    pot = {}
-    for comp in g.components:
-        root = min(comp, key=lambda v: g.vindex[v])
-        pot[root] = POS
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            for eid in g.incidence[w]:
-                e = g.edges[eid]
-                if e.is_loop:
-                    continue
-                o = e.other(w)
-                want = pot[w] * e.sign
-                if o not in pot:
-                    pot[o] = want
-                    stack.append(o)
-                elif pot[o] != want:
-                    return False
-    return True
+    return balancing_switch_set(g) is not None
 
 
 def balancing_switch_set(g: SignedGraph) -> Optional[frozenset]:

@@ -3,13 +3,19 @@
 A signed graph with frustration index k is critically frustrated when
 deleting any single edge drops the index to k-1.  Three checks:
 
-* deletion   -- recompute the index after each single-edge deletion;
+* deletion   -- the index after each single-edge deletion.  Deleting e
+                lowers the index by one exactly when e is a negative loop
+                or e is negative in some minimum switching of its
+                component; otherwise the index stays k.  So one switching
+                scan (the OR of the minimizers' negative-edge masks) gives
+                every ℓ(G-e), with no rescans;
 * signatures -- every edge is negative in some minimum signature;
 * cuts       -- after switching to a minimum signature, every positive
                 edge lies in some equilibrated cut (equally many positive
                 and negative boundary edges).  Switching at such a cut
                 keeps the signature minimum while making the edge
-                negative, so this is the signature test in disguise.
+                negative, so this is the signature test in disguise.  One
+                pass over the cut sides serves every positive edge.
 
 All three agree; the oracle tests exercise that agreement on random
 inputs.  Each returns per-edge witnesses for independent re-checking.
@@ -17,13 +23,17 @@ inputs.  Each returns per-edge witnesses for independent re-checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
-from .core import NEG, POS, EdgeCut, SignedGraph, cut, switch
+from . import guards
+from .core import NEG, EdgeCut, SignedGraph, cut, switch
 from .errors import PreconditionError
-from .frustration import all_minimum_signatures, frustration_index
+from .frustration import (FrustrationResult, _scan, all_minimum_signatures,
+                          frustration_index)
 
 METHODS = ("deletion", "signatures", "cuts")
 
@@ -40,36 +50,62 @@ class CriticalityCertificate:
                 "method": self.method, "details": self.details}
 
 
+def _first_equilibrated_sides(g: SignedGraph, eids: Iterable[int]) -> dict:
+    """eid -> side of the smallest, then lex-least, equilibrated cut
+    containing that edge; edges in no equilibrated cut are left out.
+
+    Only one side of each cut is scanned: the side containing the least
+    vertex, in (size, itertools.combinations) order.  A side's boundary is
+    the XOR of its vertices' incidence masks.  One pass serves every edge
+    and stops once each has its side.
+    """
+    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
+                 "equilibrated cut search")
+    open_mask = sum(1 << eid for eid in eids if not g.edges[eid].is_loop)
+    if not open_mask:
+        return {}
+    found = {}
+    anchor, *rest = g.vertices
+    masks = [g.incidence_masks[v] for v in rest]
+    first = g.incidence_masks[anchor]
+    neg = g.negative_mask
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(range(len(rest)), r):
+            b = functools.reduce(operator.xor, map(masks.__getitem__, combo),
+                                 first)
+            hit = b & open_mask
+            if not hit or 2 * (b & neg).bit_count() != b.bit_count():
+                continue
+            side = frozenset([anchor, *map(rest.__getitem__, combo)])
+            open_mask ^= hit
+            while hit:
+                low = hit & -hit
+                found[low.bit_length() - 1] = side
+                hit ^= low
+            if not open_mask:
+                return found
+    return found
+
+
 def equilibrated_cut_for_edge(g: SignedGraph, eid: int) -> Optional[EdgeCut]:
     """Smallest (then lex-least) equilibrated cut containing edge eid.
 
     Only one side of each cut is scanned: the side containing the least
     vertex.  Returns None when no equilibrated cut contains the edge.
     """
-    e = g.edges[eid]
-    if e.is_loop:
-        return None
-    vs = sorted(g.vertices, key=lambda v: g.vindex[v])
-    anchor, rest = vs[0], vs[1:]
-    for r in range(len(vs)):
-        for combo in itertools.combinations(rest, r):
-            side = frozenset((anchor,) + combo)
-            if (e.u in side) == (e.v in side):
-                continue
-            c = cut(g, side)
-            if c.equilibrated:
-                return c
-    return None
+    side = _first_equilibrated_sides(g, [eid]).get(eid)
+    return None if side is None else cut(g, side)
 
 
 def _certify_deletion(g: SignedGraph, k: int) -> CriticalityCertificate:
+    lowered = 0  # edges negative in some minimum switching
+    for comp in g.components:
+        lowered |= _scan(g, comp)[3]
     drops = {}
-    critical = True
     for e in g.edges:
-        sub = frustration_index(g.delete_edges([e.eid])).index
-        drops[e.eid] = sub
-        if sub != k - 1:
-            critical = False
+        drop = (e.sign == NEG) if e.is_loop else bool(lowered >> e.eid & 1)
+        drops[e.eid] = k - 1 if drop else k
+    critical = all(sub == k - 1 for sub in drops.values())
     return CriticalityCertificate(critical, k, "deletion",
                                   {"index_after_deletion": drops})
 
@@ -87,20 +123,16 @@ def _certify_signatures(g: SignedGraph, k: int) -> CriticalityCertificate:
                                   {"negative_in_signature": witness})
 
 
-def _certify_cuts(g: SignedGraph, k: int) -> CriticalityCertificate:
-    res = frustration_index(g)
+def _certify_cuts(g: SignedGraph, k: int,
+                  res: FrustrationResult) -> CriticalityCertificate:
     gmin = switch(g, res.switch_set)
-    cuts = {}
-    critical = True
-    for e in gmin.edges:
-        if e.sign == NEG:
-            continue  # already negative in the minimum signature
-        c = equilibrated_cut_for_edge(gmin, e.eid)
-        cuts[e.eid] = c.to_json(gmin) if c is not None else None
-        if c is None:
-            critical = False
+    # edges already negative in the minimum signature need no cut
+    positive = [e.eid for e in gmin.edges if e.sign != NEG]
+    sides = _first_equilibrated_sides(gmin, positive)
+    cuts = {eid: cut(gmin, sides[eid]).to_json(gmin) if eid in sides else None
+            for eid in positive}
     return CriticalityCertificate(
-        critical, k, "cuts",
+        len(sides) == len(positive), k, "cuts",
         {"minimum_switch_set": sorted(map(str, res.switch_set)),
          "equilibrated_cuts": cuts})
 
@@ -115,7 +147,8 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; use one of {METHODS}")
-    index = frustration_index(g).index
+    res = frustration_index(g)
+    index = res.index
     if k is None:
         k = index
     if index != k or k == 0:
@@ -125,7 +158,7 @@ def certify(g: SignedGraph, k: Optional[int] = None,
         return _certify_deletion(g, k)
     if method == "signatures":
         return _certify_signatures(g, k)
-    return _certify_cuts(g, k)
+    return _certify_cuts(g, k, res)
 
 
 def is_critical(g: SignedGraph, k: Optional[int] = None,

@@ -31,3 +31,8 @@ class PreconditionError(SignforgeError):
 
 class EmbeddingError(SignforgeError):
     """A malformed rotation system, or an Euler-formula violation."""
+
+
+class TheoremViolation(SignforgeError):
+    """A computed instance contradicts a proved statement (a counterexample
+    or, far likelier, a bug)."""

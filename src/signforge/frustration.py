@@ -1,21 +1,28 @@
 """Frustration index by exhaustive switching, with witnesses.
 
 The frustration index of a signed graph is the minimum number of negative
-edges over all switchings.  We scan all switch sets component-by-component
-(one anchor vertex per component is pinned, halving the space) in Gray-code
-order so each step flips a single vertex and updates the negative count
-incrementally.
+edges over all switchings.  One kernel, `_scan`, walks the switchings of
+each connected component with one anchor vertex pinned (a switch set and
+its complement give the same signature), so a component of c vertices
+costs 2^(c-1) steps.  The walk is in Gray-code order: each step switches
+one vertex.  Edge sets are ints with bit eid per edge, and every vertex
+keeps the mask of its incident non-loop edges, so a step is one XOR of
+the negative-edge mask with that vertex's mask and one popcount.
+
+For each component the kernel returns the minimum, every minimizing
+switch mask, and the OR of the negative-edge masks those switchings
+induce.  The index, its lex-least witness, all minimum signatures and the
+deletion certificate in `criticality` are all read from that one pass.
 
 Negative loops are unswitchable and each contributes exactly 1; positive
-loops contribute 0.  Both are stripped before the scan and negative loops
-are added back to every count.
+loops contribute 0.  Loops never enter the masks, and the negative loops
+are added back to the total.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 from . import guards
 from .core import NEG, SignedGraph, switch
@@ -35,49 +42,45 @@ class FrustrationResult:
         }
 
 
-def _component_scan(g: SignedGraph, comp_vertices: list) -> Iterator[tuple]:
-    """Yield (neg_count, switched_vertex_frozenset) for one component.
+def _scan(g: SignedGraph, comp: frozenset) -> tuple:
+    """Scan the 2^(c-1) switchings of one component, its anchor pinned.
 
-    Scans the 2^(c-1) switchings that fix the anchor (first vertex), in
-    Gray-code order with incremental updates.
+    The anchor is the component's first vertex in vertex order; the other
+    c-1 vertices, in vertex order, are `free`, and bit i of a switch mask
+    switches free[i].  Returns (free, minimum, masks, neg_or): the least
+    number of negative non-loop edges, every switch mask reaching it (in
+    Gray-code order, starting from the empty switching), and the OR of the
+    negative-edge masks those switchings induce.
     """
-    anchor, *rest = comp_vertices
-    free = rest
-    c = len(free)
-    # per-vertex list of (other_vertex_or_None, eid) for incident non-loops
-    state = {v: False for v in comp_vertices}
-    edge_sign = {}
-    comp_set = set(comp_vertices)
-    inc = {v: [] for v in free}
-    for v in comp_vertices:
-        for eid in g.incidence[v]:
-            e = g.edges[eid]
-            if e.is_loop or e.u not in comp_set:
-                continue
-            edge_sign[eid] = e.sign
-    for v in free:
-        for eid in g.incidence[v]:
-            if not g.edges[eid].is_loop:
-                inc[v].append(eid)
+    anchor, *free = sorted(comp, key=g.vindex.__getitem__)
+    inc = [g.incidence_masks[v] for v in free]
+    edges = g.incidence_masks[anchor]
+    for mask in inc:
+        edges |= mask
+    neg = g.negative_mask & edges
+    best = neg.bit_count()
+    masks = [0]
+    neg_or = neg
+    for step in range(1, 1 << len(free)):
+        neg ^= inc[(step & -step).bit_length() - 1]
+        count = neg.bit_count()
+        if count <= best:
+            if count < best:
+                best = count
+                masks = []
+                neg_or = 0
+            masks.append(step ^ (step >> 1))
+            neg_or |= neg
+    return free, best, masks, neg_or
 
-    neg = sum(1 for s in edge_sign.values() if s == NEG)
-    yield neg, frozenset()
-    switched: set = set()
-    for step in range(1, 1 << c):
-        # Gray code: flip the vertex at the index of the lowest set bit
-        v = free[(step & -step).bit_length() - 1]
-        for eid in inc[v]:
-            e = g.edges[eid]
-            o = e.other(v)
-            # flipping v toggles every edge to a differently-switched endpoint
-            edge_sign[eid] = -edge_sign[eid]
-            neg += 1 if edge_sign[eid] == NEG else -1
-        state[v] = not state[v]
-        if state[v]:
-            switched.add(v)
-        else:
-            switched.discard(v)
-        yield neg, frozenset(switched)
+
+def _switch_set(free: list, mask: int) -> frozenset:
+    """The vertex set a switch mask of `_scan` stands for."""
+    return frozenset(v for i, v in enumerate(free) if mask >> i & 1)
+
+
+def _limit(max_vertices) -> int:
+    return guards.SWITCH_SEARCH_MAX_VERTICES if max_vertices is None else max_vertices
 
 
 def _loop_baseline(g: SignedGraph) -> int:
@@ -87,32 +90,24 @@ def _loop_baseline(g: SignedGraph) -> int:
 def frustration_index(g: SignedGraph, max_vertices: int = None) -> FrustrationResult:
     """Minimum negative-edge count over all switchings, with a witness.
 
-    Ties are broken toward the lexicographically least switch set (by
-    sorted vertex tuple).  The reported negative edge ids are those of
+    Ties are broken, per component and with its anchor unswitched,
+    toward the lexicographically least switch set (by sorted tuple of
+    vertex strings).  The reported negative edge ids are those of
     switch(g, switch_set).
     """
-    limit = guards.SWITCH_SEARCH_MAX_VERTICES if max_vertices is None else max_vertices
-    guards.check(g.n, limit, "switching search")
-
-    base = _loop_baseline(g)
-    best_total = base
-    best_sets = []  # per component, in g.components order
+    # the scan is exponential in the largest component only
+    guards.check(max(map(len, g.components), default=0),
+                 _limit(max_vertices), "switching search")
+    total = _loop_baseline(g)
+    full = frozenset()
     for comp in g.components:
-        vs = sorted(comp, key=lambda v: g.vindex[v])
-        best = None
-        best_set = None
-        for neg, sw in _component_scan(g, vs):
-            key = tuple(sorted(map(str, sw)))
-            if best is None or neg < best or (
-                    neg == best and key < best_set[0]):
-                best = neg
-                best_set = (key, sw)
-        best_total += best
-        best_sets.append(best_set[1])
-
-    full = frozenset().union(*best_sets) if best_sets else frozenset()
-    switched = switch(g, full)
-    return FrustrationResult(best_total, full, switched.negative_edge_ids)
+        free, best, masks, _ = _scan(g, comp)
+        total += best
+        names = [str(v) for v in free]
+        least = min(masks, key=lambda m: sorted(
+            [s for i, s in enumerate(names) if m >> i & 1]))
+        full |= _switch_set(free, least)
+    return FrustrationResult(total, full, switch(g, full).negative_edge_ids)
 
 
 def all_minimum_signatures(g: SignedGraph,
@@ -122,25 +117,15 @@ def all_minimum_signatures(g: SignedGraph,
     Returned sorted lexicographically.  Distinct switch sets can induce
     the same negative edge set; duplicates are collapsed.
     """
-    limit = guards.SWITCH_SEARCH_MAX_VERTICES if max_vertices is None else max_vertices
-    guards.check(g.n, limit, "switching search")
-
+    # the answer is a product over the components, so g.n bounds it
+    guards.check(g.n, _limit(max_vertices), "minimum-signature enumeration")
     per_comp = []
     for comp in g.components:
-        vs = sorted(comp, key=lambda v: g.vindex[v])
-        best = None
-        sets = []
-        for neg, sw in _component_scan(g, vs):
-            if best is None or neg < best:
-                best = neg
-                sets = [sw]
-            elif neg == best:
-                sets.append(sw)
-        per_comp.append(sets)
-
+        free, _, masks, _ = _scan(g, comp)
+        per_comp.append([_switch_set(free, m) for m in masks])
     out = set()
-    for combo in itertools.product(*per_comp) if per_comp else [()]:
-        full = frozenset().union(*combo) if combo else frozenset()
+    for combo in itertools.product(*per_comp):
+        full = frozenset().union(*combo)
         out.add(tuple(sorted(switch(g, full).negative_edge_ids)))
     return tuple(sorted(out))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import NEG, SignedGraph, switch
-from .errors import EmbeddingError
+from .errors import EmbeddingError, TheoremViolation
 from .frustration import frustration_index
 
 # a dart is (edge id, end); end 0 = the 'a' end (edge.u), end 1 = 'b' (edge.v)
@@ -139,7 +139,8 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
     """Face-level report for a critically k-frustrated planar embedding.
 
     Sub-checks are reported, not asserted, except the universal bound
-    (at most 2k negative faces for a critical graph), which raises.
+    (at most 2k negative faces for a critical graph), which raises
+    TheoremViolation.
     The per-face negative-edge count is taken under a computed minimum
     signature.
     """
@@ -162,7 +163,7 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
         negative_bound_ok=neg_faces <= 2 * k,
     )
     if not report.negative_bound_ok:
-        raise AssertionError(
+        raise TheoremViolation(
             f"critical graph with {neg_faces} negative faces exceeds 2k={2*k}")
     return report
 

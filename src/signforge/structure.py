@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional
 from . import guards
 from .core import (NEG, POS, Edge, SignedGraph, build_graph, cycle_sign)
 from .cycles import max_edge_disjoint_negative_cycles, negative_cycles
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoremViolation
 from .frustration import frustration_index
 
 
@@ -164,8 +164,9 @@ class PackingReport:
 
 def check_packing_equality(g: SignedGraph) -> PackingReport:
     """If no all-negative-K4 subdivision exists, the maximum number of
-    edge-disjoint negative cycles must equal the frustration index; assert
-    it and return the packing.  Otherwise return the subdivision witness.
+    edge-disjoint negative cycles must equal the frustration index; check
+    it (TheoremViolation if not) and return the packing.  Otherwise return
+    the subdivision witness.
     """
     ell = frustration_index(g).index
     sub = find_k4_minus_subdivision(g)
@@ -174,7 +175,7 @@ def check_packing_equality(g: SignedGraph) -> PackingReport:
     pack = max_edge_disjoint_negative_cycles(g)
     report = PackingReport(ell, None, pack)
     if not report.equality:
-        raise AssertionError(
+        raise TheoremViolation(
             f"packing {len(pack)} != frustration index {ell} on a "
             "subdivision-free instance")
     return report

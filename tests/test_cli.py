@@ -119,3 +119,13 @@ def test_enumerate_writes_manifest(tmp_path):
 def test_reproduce_single_criterion(capsys):
     assert run(["reproduce", "--only", "1"]) == 0
     assert "pass" in capsys.readouterr().out.lower()
+
+
+def test_reproduce_json_output(capsys):
+    assert run(["--json", "reproduce", "--only", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == 1 and doc["command"] == "reproduce"
+    assert doc["all_passed"] is True
+    (row,) = doc["criteria"]
+    assert set(row) == {"number", "name", "passed", "seconds", "detail"}
+    assert row["number"] == 1 and row["passed"] is True

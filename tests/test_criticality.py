@@ -1,12 +1,16 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 from signforge.core import build_graph, cut, switch
+from signforge.errors import GuardExceeded
 from signforge.criticality import (METHODS, certify, equilibrated_cut_for_edge,
                                    is_critical)
 from signforge.frustration import frustration_index, minimum_signature_switch
 
 from strategies import signed_graphs
+from test_frustration import brute_force_index
 
 
 def k4_all_negative():
@@ -95,3 +99,49 @@ def test_equilibrated_cut_for_edge():
 def test_three_methods_agree(g):
     answers = {m: is_critical(g, method=m) for m in METHODS}
     assert len(set(answers.values())) == 1, answers
+
+
+def brute_force_cut(g, eid):
+    """Independent oracle: the first side, in (size, combinations) order and
+    containing the first vertex, whose cut is equilibrated and contains
+    edge eid; checked one edge at a time with core.cut."""
+    anchor, *rest = g.vertices
+    for r in range(len(rest) + 1):
+        for combo in combinations(rest, r):
+            c = cut(g, (anchor,) + combo)
+            if eid in c.boundary and c.equilibrated:
+                return c
+    return None
+
+
+@given(signed_graphs(max_n=6, max_m=10))
+@settings(max_examples=60, deadline=None)
+def test_deletion_certificate_matches_brute_force(g):
+    details = certify(g, method="deletion").details
+    for eid, idx in details.get("index_after_deletion", {}).items():
+        assert idx == brute_force_index(g.delete_edges([eid]))
+
+
+@given(signed_graphs(max_n=6, max_m=10))
+@settings(max_examples=60, deadline=None)
+def test_cut_witnesses_match_brute_force(g):
+    for eid in range(g.m):
+        assert equilibrated_cut_for_edge(g, eid) == brute_force_cut(g, eid)
+    details = certify(g, method="cuts").details
+    gmin = minimum_signature_switch(g)
+    for eid, rec in details.get("equilibrated_cuts", {}).items():
+        oracle = brute_force_cut(gmin, eid)
+        assert rec == (oracle.to_json(gmin) if oracle is not None else None)
+
+
+def test_cut_search_is_guarded_on_n(monkeypatch):
+    monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
+    # a negative triangle plus 22 isolated vertices: the switching scan
+    # sees components of at most 3 vertices, the cut search all 25
+    g = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-")],
+                    isolated=range(3, 25))
+    assert frustration_index(g).index == 1
+    with pytest.raises(GuardExceeded):
+        certify(g, method="cuts")
+    with pytest.raises(GuardExceeded):
+        equilibrated_cut_for_edge(g, 0)

@@ -1,9 +1,11 @@
 from itertools import chain, combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signforge.core import NEG, build_graph, switch
+from signforge.errors import GuardExceeded
 from signforge.frustration import (all_minimum_signatures, frustration_by_cover, minimum_signature_switch,
                                    frustration_index, is_minimum_signature)
 
@@ -81,3 +83,45 @@ def test_disconnected_graphs_sum_components():
     g = build_graph([(0, 1, "-"), (1, 2, "+"), (2, 0, "+"),
                      (3, 4, "-"), (4, 5, "+"), (5, 3, "+")])
     assert frustration_index(g).index == 2
+
+
+def brute_force_witness(g):
+    """Independent oracle for the switch-set tie-break: per component, the
+    minimizing switch set with the anchor (first vertex) unswitched whose
+    sorted str tuple is least."""
+    out = frozenset()
+    for comp in g.components:
+        anchor, *rest = [v for v in g.vertices if v in comp]
+        best = None
+        for r in range(len(rest) + 1):
+            for s in combinations(rest, r):
+                key = (len(switch(g, frozenset(s)).negative_edge_ids),
+                       sorted(map(str, s)))
+                if best is None or key < best[0]:
+                    best = (key, frozenset(s))
+        out |= best[1]
+    return out
+
+
+@given(signed_graphs(max_n=6, max_m=10))
+@settings(max_examples=80, deadline=None)
+def test_witness_is_the_lex_least_minimizer(g):
+    assert frustration_index(g).switch_set == brute_force_witness(g)
+
+
+def cycle(first, length):
+    """Edges of a cycle on first, ..., first+length-1 with one negative edge."""
+    return [(first + i, first + (i + 1) % length, "-" if i == 0 else "+")
+            for i in range(length)]
+
+
+def test_guard_bounds_the_largest_component_not_n(monkeypatch):
+    monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
+    three = build_graph(cycle(0, 10) + cycle(10, 10) + cycle(20, 10))
+    assert three.n == 30
+    assert frustration_index(three).index == 3
+    with pytest.raises(GuardExceeded):
+        frustration_index(build_graph(cycle(0, 25)))
+    # the minimum signatures are a product over components: bounded by n
+    with pytest.raises(GuardExceeded):
+        all_minimum_signatures(three)

@@ -4,7 +4,7 @@ import pytest
 
 from signforge import catalog
 from signforge.core import build_graph
-from signforge.errors import EmbeddingError
+from signforge.errors import EmbeddingError, TheoremViolation
 from signforge.planar import (FaceWalk, RotationSystem, faces, parse_rot,
                               serialize_rot, validate_rotation,
                               verify_planar_critical)
@@ -72,7 +72,7 @@ def test_negative_face_bound_violation_raises():
     rot = RotationSystem({0: ((0, 0), (1, 0)), 1: ((0, 1), (1, 1))})
     rep = verify_planar_critical(g, rot, 1, check_critical=False)
     assert rep.negative_bound_ok
-    with pytest.raises(AssertionError):
+    with pytest.raises(TheoremViolation):
         verify_planar_critical(g, rot, 0, check_critical=False)
 
 

@@ -7,7 +7,9 @@ from signforge.core import build_graph, canonical_form, switching_isomorphic
 from signforge.constructions import ghat
 from signforge.cycles import (has_two_edge_disjoint_negative_cycles,
                               negative_cycles)
-from signforge.errors import PreconditionError
+from signforge import structure
+from signforge.errors import (PreconditionError, SignforgeError,
+                              TheoremViolation)
 from signforge.frustration import frustration_index
 from signforge.structure import (check_packing_equality, find_decompositions,
                                  find_k4_minus_subdivision, in_s_star,
@@ -136,6 +138,17 @@ def test_packing_inequality_reported_for_k4():
     rep = check_packing_equality(k4_all_negative())
     assert rep.subdivision is not None and rep.packing is None
     assert rep.frustration == 2
+
+
+def test_violated_packing_equality_is_a_typed_error(monkeypatch):
+    # a negative triangle has no K4- subdivision and index 1; a packing
+    # search that finds no cycle contradicts the theorem
+    g = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-")])
+    monkeypatch.setattr(structure, "max_edge_disjoint_negative_cycles",
+                        lambda g: ())
+    with pytest.raises(TheoremViolation) as info:
+        check_packing_equality(g)
+    assert isinstance(info.value, SignforgeError)
 
 
 # -- decomposability ---------------------------------------------------------------
