@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from . import catalog
 from .constructions import ghat, ghat_planar, h_join
 from .core import (NEG, POS, Cycle, SignedGraph, build_graph, canonical_form,
-                   switch, validate_cycle)
+                   cut, cycle_sign, switch, validate_cycle)
 from .criticality import METHODS, is_critical
 from .cycles import (is_double_cover, max_edge_disjoint_negative_cycles,
                      negative_cycle_double_cover, negative_cycles)
@@ -296,12 +296,10 @@ def crit_12_invariants() -> tuple:
         # cycle signs are switching-invariant
         gs = switch(g, sset)
         for c in negative_cycles(g):
-            from .core import cycle_sign
             if cycle_sign(gs, c) != NEG:
                 bad.append(f"cycle-sign#{i}")
                 break
         # negative count shifts by the cut imbalance
-        from .core import cut
         c = cut(g, sset)
         if len(gs.negative_edge_ids) != (len(g.negative_edge_ids)
                                          - c.neg_count + c.pos_count):

@@ -32,7 +32,8 @@ from typing import Iterable, Optional
 from . import guards
 from .core import NEG, EdgeCut, SignedGraph, cut, switch
 from .errors import PreconditionError
-from .frustration import (FrustrationResult, _scan, all_minimum_signatures,
+from .frustration import (FrustrationResult, _component_scans,
+                          _loop_baseline, all_minimum_signatures,
                           frustration_index)
 
 METHODS = ("deletion", "signatures", "cuts")
@@ -97,10 +98,10 @@ def equilibrated_cut_for_edge(g: SignedGraph, eid: int) -> Optional[EdgeCut]:
     return None if side is None else cut(g, side)
 
 
-def _certify_deletion(g: SignedGraph, k: int) -> CriticalityCertificate:
-    lowered = 0  # edges negative in some minimum switching
-    for comp in g.components:
-        lowered |= _scan(g, comp)[3]
+def _certify_deletion(g: SignedGraph, k: int,
+                      scans: list) -> CriticalityCertificate:
+    # edges negative in some minimum switching
+    lowered = functools.reduce(operator.or_, (s[3] for s in scans), 0)
     drops = {}
     for e in g.edges:
         drop = (e.sign == NEG) if e.is_loop else bool(lowered >> e.eid & 1)
@@ -147,15 +148,20 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; use one of {METHODS}")
-    res = frustration_index(g)
-    index = res.index
+    if method == "deletion":
+        # one scan per component gives the index and every ℓ(G-e)
+        scans = _component_scans(g)
+        index = _loop_baseline(g) + sum(s[1] for s in scans)
+    else:
+        res = frustration_index(g)
+        index = res.index
     if k is None:
         k = index
     if index != k or k == 0:
         return CriticalityCertificate(
             False, k, method, {"frustration_index": index})
     if method == "deletion":
-        return _certify_deletion(g, k)
+        return _certify_deletion(g, k, scans)
     if method == "signatures":
         return _certify_signatures(g, k)
     return _certify_cuts(g, k, res)

@@ -9,11 +9,10 @@ deterministic, lexicographically least witnesses.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import guards
-from .core import NEG, Cycle, SignedGraph, cycle_sign, validate_cycle
+from .core import NEG, Cycle, SignedGraph, cycle_sign
 from .errors import CycleCapExceeded, PreconditionError
 
 
@@ -301,31 +300,31 @@ def negative_cycle_double_cover(g: SignedGraph, k: int, cap: int = None,
     return step(0)
 
 
+def _edge_counts(g: SignedGraph, cs) -> list:
+    """How many cycles of cs contain each edge of g, by edge id; every
+    member must be a negative cycle of g (positive cycles raise)."""
+    counts = [0] * g.m
+    for c in cs:
+        if cycle_sign(g, c) != NEG:
+            raise PreconditionError("cover contains a positive cycle")
+        for eid in c.edge_ids:
+            counts[eid] += 1
+    return counts
+
+
 def is_leq2_cover(g: SignedGraph, cs) -> bool:
     """True iff every edge of g lies in at most two cycles of cs.
 
     Every member must be a negative cycle of g; positive cycles or
     non-cycles raise.
     """
-    counts = {e.eid: 0 for e in g.edges}
-    for c in cs:
-        if cycle_sign(g, c) != NEG:
-            raise PreconditionError("cover contains a positive cycle")
-        for eid in c.edge_ids:
-            counts[eid] += 1
-    return all(v <= 2 for v in counts.values())
+    return all(v <= 2 for v in _edge_counts(g, cs))
 
 
 def is_double_cover(g: SignedGraph, cs) -> bool:
     """True iff every edge of g lies in exactly two cycles of cs (all
     members negative cycles of g)."""
-    counts = {e.eid: 0 for e in g.edges}
-    for c in cs:
-        if cycle_sign(g, c) != NEG:
-            raise PreconditionError("cover contains a positive cycle")
-        for eid in c.edge_ids:
-            counts[eid] += 1
-    return all(v == 2 for v in counts.values())
+    return all(v == 2 for v in _edge_counts(g, cs))
 
 
 def cycleset_to_json(g: SignedGraph, cs) -> dict:

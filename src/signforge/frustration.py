@@ -83,6 +83,14 @@ def _limit(max_vertices) -> int:
     return guards.SWITCH_SEARCH_MAX_VERTICES if max_vertices is None else max_vertices
 
 
+def _component_scans(g: SignedGraph, max_vertices: int = None) -> list:
+    """`_scan` of every component, in component order, under the switching
+    guard; the scan is exponential in the largest component only."""
+    guards.check(max(map(len, g.components), default=0),
+                 _limit(max_vertices), "switching search")
+    return [_scan(g, comp) for comp in g.components]
+
+
 def _loop_baseline(g: SignedGraph) -> int:
     return sum(1 for eid in g.loop_edge_ids if g.edges[eid].sign == NEG)
 
@@ -95,13 +103,9 @@ def frustration_index(g: SignedGraph, max_vertices: int = None) -> FrustrationRe
     vertex strings).  The reported negative edge ids are those of
     switch(g, switch_set).
     """
-    # the scan is exponential in the largest component only
-    guards.check(max(map(len, g.components), default=0),
-                 _limit(max_vertices), "switching search")
     total = _loop_baseline(g)
     full = frozenset()
-    for comp in g.components:
-        free, best, masks, _ = _scan(g, comp)
+    for free, best, masks, _ in _component_scans(g, max_vertices):
         total += best
         names = [str(v) for v in free]
         least = min(masks, key=lambda m: sorted(

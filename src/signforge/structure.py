@@ -6,10 +6,24 @@ themselves critically frustrated, with the part indices summing to the
 whole.  Parts are required to be non-decomposable, which pins down their
 shape for small indices: a non-decomposable critically-1 part is a
 negative cycle, a non-decomposable critically-2 part is an all-negative-K4
-subdivision, and at total index <= 4 at most one part of index >= 3 can
-occur (its partner is then a single negative cycle).  That makes the
+subdivision (K4-), and at total index <= 4 at most one part of index >= 3
+can occur (its partner is then a single negative cycle).  That makes the
 bounded search complete through total index 4; larger indices fall back to
 a guarded exponential subset search.
+
+Through index 4 the search takes, at each node, the part containing the
+lowest open edge e0 with a budget b left.  A negative-cycle part is
+branched on; a K4- part is not searched for, by the complement rule: it
+is everything that remains minus the parts after it, whose budgets sum to
+b - 2, and a linear test (`_k4_minus_edge_set`) decides whether an edge
+set is a K4- subdivision.  So b = 2 tests what remains, b = 3 tests what
+remains minus each negative cycle avoiding e0, and b = 4, which occurs
+only at the root of k = 4, tests the complement of each pair of disjoint
+negative cycles avoiding e0 and of each K4- subdivision containing e0.
+That is the one place subdivisions are enumerated, and only when the
+degrees leave the two K4- parts exactly 8 branch vertices between them.
+Also at k = 4, a part of index 3 next to one negative cycle is checked
+directly.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import guards
-from .core import (NEG, POS, Edge, SignedGraph, build_graph, cycle_sign)
+from .core import NEG, POS, SignedGraph, build_graph
 from .cycles import max_edge_disjoint_negative_cycles, negative_cycles
 from .errors import PreconditionError, TheoremViolation
 from .frustration import frustration_index
@@ -50,12 +64,14 @@ class K4MinusSubdivision:
         }
 
 
-def _path_systems(g: SignedGraph, quad: tuple, allowed: frozenset
-                  ) -> Iterator[tuple]:
+def _path_systems(adj: dict, quad: tuple) -> Iterator[tuple]:
     """All systems of six internally-disjoint paths joining quad pairwise
-    such that the four triangle-image cycles are negative."""
+    such that the four triangle-image cycles are negative.
+
+    adj maps each vertex to its allowed non-loop (eid, other end, sign)
+    entries in ascending eid order."""
     branch = set(quad)
-    used_edges: set = set()
+    used_edges = 0  # bitmask of the edges on completed paths
     used_internal: set = set()
     paths: list = []
     signs: list = []
@@ -68,38 +84,37 @@ def _path_systems(g: SignedGraph, quad: tuple, allowed: frozenset
         return True
 
     def connect(pi: int) -> Iterator[tuple]:
+        nonlocal used_edges
         if pi == 6:
             yield tuple(paths)
             return
         x = quad[_PAIR_ORDER[pi][0]]
         y = quad[_PAIR_ORDER[pi][1]]
 
-        def extend(v, eids, vseq, sgn) -> Iterator[tuple]:
-            for eid in sorted(g.incidence[v]):
-                if eid in used_edges or eid not in allowed:
+        def extend(v, eids, vseq, sgn, mask) -> Iterator[tuple]:
+            nonlocal used_edges
+            for eid, o, s in adj[v]:
+                if used_edges >> eid & 1:
                     continue
-                e = g.edges[eid]
-                if e.is_loop:
-                    continue
-                o = e.other(v)
                 if o == y:
                     path = ((x, y), tuple(eids) + (eid,), tuple(vseq) + (y,))
                     paths.append(path)
-                    signs.append(sgn * e.sign)
+                    signs.append(sgn * s)
                     inner = path[2][1:-1]
                     if triangles_ok(pi):
-                        used_edges.update(path[1])
+                        used_edges |= mask | 1 << eid
                         used_internal.update(inner)
                         yield from connect(pi + 1)
-                        used_edges.difference_update(path[1])
+                        used_edges ^= mask | 1 << eid
                         used_internal.difference_update(inner)
                     signs.pop()
                     paths.pop()
                 elif (o not in branch and o not in used_internal
                         and o not in vseq):
-                    yield from extend(o, eids + [eid], vseq + [o], sgn * e.sign)
+                    yield from extend(o, eids + [eid], vseq + [o], sgn * s,
+                                      mask | 1 << eid)
 
-        yield from extend(x, [], [x], POS)
+        yield from extend(x, [], [x], POS, 0)
 
     yield from connect(0)
 
@@ -109,17 +124,16 @@ def _iter_k4_minus_subdivisions(g: SignedGraph,
                                 ) -> Iterator[K4MinusSubdivision]:
     if allowed is None:
         allowed = frozenset(range(g.m))
-    touched = sorted(
-        {v for eid in allowed for v in (g.edges[eid].u, g.edges[eid].v)},
-        key=lambda v: g.vindex[v])
-
-    def allowed_degree(v):
-        return sum(1 for eid in g.incidence[v]
-                   if eid in allowed and not g.edges[eid].is_loop)
-
-    candidates = [v for v in touched if allowed_degree(v) >= 3]
+    adj: dict = {}
+    for eid in sorted(allowed):
+        e = g.edges[eid]
+        if not e.is_loop:
+            adj.setdefault(e.u, []).append((eid, e.v, e.sign))
+            adj.setdefault(e.v, []).append((eid, e.u, e.sign))
+    candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
+                        key=g.vindex.__getitem__)
     for quad in itertools.combinations(candidates, 4):
-        for system in _path_systems(g, quad, allowed):
+        for system in _path_systems(adj, quad):
             yield K4MinusSubdivision(quad, system)
 
 
@@ -145,6 +159,50 @@ def k4_minus_subdivision_edge_sets(g: SignedGraph,
     """Distinct edge sets of all-negative-K4 subdivisions inside allowed."""
     out = {w.edge_ids for w in _iter_k4_minus_subdivisions(g, allowed)}
     return tuple(sorted(out, key=sorted))
+
+
+def _k4_minus_edge_set(g: SignedGraph, es: frozenset) -> bool:
+    """Whether es is the edge set of an all-negative-K4 subdivision.
+
+    Linear in |es|: no loops, exactly four vertices of degree 3 and the
+    rest of degree 2, the paths traced from the degree-3 vertices through
+    the degree-2 ones join the six distinct pairs and use every edge, and
+    all four triangle images are negative.  Equal to
+    ``es in k4_minus_subdivision_edge_sets(g)``.
+    """
+    inc: dict = {}
+    for eid in es:
+        e = g.edges[eid]
+        if e.is_loop:
+            return False
+        inc.setdefault(e.u, []).append(eid)
+        inc.setdefault(e.v, []).append(eid)
+    branch = [v for v, ids in inc.items() if len(ids) == 3]
+    if len(branch) != 4 or any(len(ids) not in (2, 3)
+                               for ids in inc.values()):
+        return False
+    path_sign: dict = {}  # branch pair -> sign; each path is traced twice
+    traced = 0
+    for a in branch:
+        for eid in inc[a]:
+            v, sign = a, POS
+            while True:
+                e = g.edges[eid]
+                v = e.other(v)
+                sign *= e.sign
+                traced += 1
+                if len(inc[v]) == 3:
+                    break
+                first, second = inc[v]
+                eid = second if eid == first else first
+            if v == a:
+                return False
+            path_sign[frozenset((a, v))] = sign
+    if len(path_sign) != 6 or traced != 2 * len(es):
+        return False
+    return all(path_sign[frozenset((a, b))] * path_sign[frozenset((a, c))]
+               * path_sign[frozenset((b, c))] == NEG
+               for a, b, c in itertools.combinations(branch, 3))
 
 
 # -- packing vs frustration (subdivision-free equality) --------------------------
@@ -316,15 +374,20 @@ def _normalize(parts) -> Decomposition:
     return Decomposition(tuple(sorted(parts, key=lambda p: (p[1], sorted(p[0])))))
 
 
+def _branch_slots(g: SignedGraph) -> int:
+    """Branch vertices two edge-disjoint K4- parts covering g would have:
+    a vertex of degree 3 or 5 is a branch vertex of one part, a vertex of
+    degree 6 of both; a partition into two such parts needs exactly 8."""
+    return sum({3: 1, 5: 1, 6: 2}.get(g.degree(v), 0) for v in g.vertices)
+
+
 def _is_nondecomposable_critical(g: SignedGraph, part: frozenset, k: int) -> bool:
     from .criticality import is_critical
 
     sub = g.restrict(part)
-    if frustration_index(sub).index != k:
-        return False
-    if not is_critical(sub, k):
-        return False
-    return not any(True for _ in _decomposition_stream(sub, k))
+    # is_critical(sub, k) already fails unless k is the index of sub
+    return is_critical(sub, k) and not any(
+        True for _ in _decomposition_stream(sub, k))
 
 
 def _decomposition_stream(g: SignedGraph, k: int) -> Iterator[Decomposition]:
@@ -332,11 +395,11 @@ def _decomposition_stream(g: SignedGraph, k: int) -> Iterator[Decomposition]:
     if k < 2 or g.m == 0:
         return
     all_edges = frozenset(range(g.m))
-    negs = negative_cycles(g)
+    neg_sets = [c.edge_set for c in negative_cycles(g)]
     cycles_by_edge: dict = {}
-    for c in negs:
-        for eid in c.edge_set:
-            cycles_by_edge.setdefault(eid, []).append(c.edge_set)
+    for cyc in neg_sets:
+        for eid in cyc:
+            cycles_by_edge.setdefault(eid, []).append(cyc)
     seen: set = set()
 
     def emit(parts) -> Iterator[Decomposition]:
@@ -348,7 +411,10 @@ def _decomposition_stream(g: SignedGraph, k: int) -> Iterator[Decomposition]:
 
     if k <= 4:
         # parts of index 1 (negative cycles) and 2 (all-negative-K4
-        # subdivisions), extracted at the lowest uncovered edge
+        # subdivisions), extracted at the lowest uncovered edge e0.  A K4-
+        # part taking e0 with budget b is the complement of the parts
+        # after it, whose budgets sum to b - 2, so it is tested, not
+        # searched for.
         def search(remaining: frozenset, budget: int, parts: tuple
                    ) -> Iterator[Decomposition]:
             if not remaining:
@@ -362,20 +428,39 @@ def _decomposition_stream(g: SignedGraph, k: int) -> Iterator[Decomposition]:
                 if cyc <= remaining:
                     yield from search(remaining - cyc, budget - 1,
                                       parts + ((cyc, 1),))
-            if budget >= 2:
+            if budget == 2:
+                # the K4- part is all that remains; alone it is no partition
+                if parts and _k4_minus_edge_set(g, remaining):
+                    yield from emit(parts + ((remaining, 2),))
+            elif budget >= 3:
+                # the K4- part next to one or two negative cycles
+                free = [c for c in neg_sets if e0 not in c and c <= remaining]
+                if budget == 3:
+                    for cyc in free:
+                        if _k4_minus_edge_set(g, remaining - cyc):
+                            yield from emit(parts + ((remaining - cyc, 2),
+                                                     (cyc, 1)))
+                else:  # budget 4 only at the root of k = 4
+                    for i, c1 in enumerate(free):
+                        for c2 in free[i + 1:]:
+                            if not c1 & c2 and _k4_minus_edge_set(
+                                    g, remaining - c1 - c2):
+                                yield from emit(((remaining - c1 - c2, 2),
+                                                 (c1, 1), (c2, 1)))
+            if budget == 4 and _branch_slots(g) == 8:
+                # the root of k = 4 split into two K4- parts
                 for es in k4_minus_subdivision_edge_sets(g, remaining):
-                    if e0 in es:
-                        yield from search(remaining - es, budget - 2,
-                                          parts + ((es, 2),))
+                    if e0 in es and _k4_minus_edge_set(g, remaining - es):
+                        yield from emit(((es, 2), (remaining - es, 2)))
 
         yield from search(all_edges, k, ())
 
         if k >= 4:
             # one part of index k-1 >= 3 next to a single negative cycle
-            for c in negs:
-                rest = all_edges - c.edge_set
+            for cyc in neg_sets:
+                rest = all_edges - cyc
                 if rest and _is_nondecomposable_critical(g, rest, k - 1):
-                    yield from emit(((c.edge_set, 1), (rest, k - 1)))
+                    yield from emit(((cyc, 1), (rest, k - 1)))
         return
 
     # guarded general fallback: extract any critical non-decomposable part
@@ -409,6 +494,18 @@ def _decomposition_stream(g: SignedGraph, k: int) -> Iterator[Decomposition]:
     yield from general(all_edges, k, ())
 
 
+def _decompositions(g: SignedGraph, k: Optional[int],
+                    parts_connected: bool) -> Iterator[Decomposition]:
+    """The decomposition stream at k (default: the frustration index),
+    without the partitions having a disconnected part if parts_connected."""
+    if k is None:
+        k = frustration_index(g).index
+    for d in _decomposition_stream(g, k):
+        if not parts_connected or all(
+                g.restrict(eids).is_connected for eids, _ in d.parts):
+            yield d
+
+
 def find_decompositions(g: SignedGraph, k: Optional[int] = None,
                         parts_connected: bool = False) -> tuple:
     """All partitions of the edges into non-decomposable critical parts.
@@ -417,25 +514,11 @@ def find_decompositions(g: SignedGraph, k: Optional[int] = None,
     inducing disconnected subgraphs are rejected (non-decomposable parts
     are connected anyway, so this only bites in the fallback regime).
     """
-    if k is None:
-        k = frustration_index(g).index
-    out = []
-    for d in _decomposition_stream(g, k):
-        if parts_connected and any(
-                not g.restrict(eids).is_connected for eids, _ in d.parts):
-            continue
-        out.append(d)
-    out.sort(key=lambda d: (d.kind, tuple(sorted(map(sorted, (p for p, _ in d.parts))))))
-    return tuple(out)
+    return tuple(sorted(
+        _decompositions(g, k, parts_connected),
+        key=lambda d: (d.kind, tuple(sorted(map(sorted, (p for p, _ in d.parts)))))))
 
 
 def is_decomposable(g: SignedGraph, k: Optional[int] = None,
                     parts_connected: bool = False) -> bool:
-    if k is None:
-        k = frustration_index(g).index
-    for d in _decomposition_stream(g, k):
-        if parts_connected and any(
-                not g.restrict(eids).is_connected for eids, _ in d.parts):
-            continue
-        return True
-    return False
+    return next(_decompositions(g, k, parts_connected), None) is not None

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from signforge.core import build_graph, cut, switch
 from signforge.errors import GuardExceeded
@@ -115,6 +115,8 @@ def brute_force_cut(g, eid):
 
 
 @given(signed_graphs(max_n=6, max_m=10))
+@example(build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-"),  # two components
+                      (3, 4, "+"), (4, 5, "+"), (5, 3, "-")]))
 @settings(max_examples=60, deadline=None)
 def test_deletion_certificate_matches_brute_force(g):
     details = certify(g, method="deletion").details

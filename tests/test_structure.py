@@ -2,21 +2,29 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from signforge.core import build_graph, canonical_form, switching_isomorphic
-from signforge.constructions import ghat
+from signforge import catalog
+from signforge.core import (build_graph, canonical_form, switch,
+                            switching_isomorphic)
+from signforge.constructions import ghat, ghat_planar, h_join
+from signforge.criticality import is_critical
 from signforge.cycles import (has_two_edge_disjoint_negative_cycles,
                               negative_cycles)
 from signforge import structure
 from signforge.errors import (PreconditionError, SignforgeError,
                               TheoremViolation)
 from signforge.frustration import frustration_index
-from signforge.structure import (check_packing_equality, find_decompositions,
+from signforge.structure import (_k4_minus_edge_set, check_packing_equality,
+                                 find_decompositions,
                                  find_k4_minus_subdivision, in_s_star,
                                  is_decomposable, is_irreducible,
                                  k4_minus_subdivision_edge_sets,
                                  reduce_to_irreducible, subdivide, suppress,
                                  suppressible_vertices)
+
+from strategies import part_unions, signed_graphs
 
 
 def k4_all_negative():
@@ -126,6 +134,61 @@ def test_k4_subdivision_edge_sets_in_k4():
     assert k4_minus_subdivision_edge_sets(g) == (frozenset(range(6)),)
 
 
+@given(st.one_of(signed_graphs(max_n=6, max_m=10), part_unions(max_m=10)))
+@settings(max_examples=60, deadline=None)
+def test_linear_k4_minus_test_matches_the_enumerator(g):
+    # every edge subset, against the path-system enumeration
+    sets = set(k4_minus_subdivision_edge_sets(g))
+    for r in range(g.m + 1):
+        for combo in combinations(range(g.m), r):
+            es = frozenset(combo)
+            assert _k4_minus_edge_set(g, es) == (es in sets)
+
+
+def test_linear_k4_minus_test_on_catalog_edge_sets():
+    for name in catalog.names():
+        g = catalog.get(name).graph
+        sets = k4_minus_subdivision_edge_sets(g)
+        full = frozenset(range(g.m))
+        assert _k4_minus_edge_set(g, full) == (full in sets), name
+        assert all(_k4_minus_edge_set(g, es) for es in sets), name
+
+
+def test_linear_k4_minus_test_rejects_near_misses():
+    k4 = [(u, v, "-") for u in range(4) for v in range(u)]
+    cases = {
+        "k4": (k4, True),
+        "k4 and a disjoint negative digon": (k4 + [(4, 5, "-"), (4, 5, "+")],
+                                             False),
+        "k4 with one positive edge": ([(1, 0, "+")] + k4[1:], False),
+        "k4 with a doubled edge": (k4 + [(1, 0, "-")], False),
+        "two doubled pairs joined twice": ([(0, 1, "-"), (0, 1, "+"),
+                                            (2, 3, "-"), (2, 3, "+"),
+                                            (0, 2, "-"), (1, 3, "+")], False),
+        "subdivided k4": ([(1, 4, "-"), (4, 0, "+")] + k4[1:], True),
+    }
+    for name, (edges, expected) in cases.items():
+        g = build_graph(edges)
+        full = frozenset(range(g.m))
+        assert _k4_minus_edge_set(g, full) == expected, name
+        assert (full in k4_minus_subdivision_edge_sets(g)) == expected, name
+
+
+def test_k4_minus_witness_follows_the_search_order():
+    # quadruples by vertex order, paths grown along ascending edge ids
+    def paths(w):
+        return [(p["ends"], p["edges"]) for p in w.to_json()["paths"]]
+
+    assert paths(find_k4_minus_subdivision(ghat(1))) == [
+        (["x", "y"], [0]), (["x", "w"], [2]), (["x", "z"], [5, 6]),
+        (["y", "w"], [7, 8]), (["y", "z"], [3]), (["w", "z"], [1])]
+    w5 = find_k4_minus_subdivision(catalog.get("w5").graph)
+    assert w5.branch_vertices == ("1", "2", "3", "w")
+    assert paths(w5) == [
+        (["1", "2"], [0]), (["1", "3"], [3, 2, 1]), (["1", "w"], [5]),
+        (["2", "3"], [4]), (["2", "w"], [7]), (["3", "w"], [8])]
+
+
 def test_packing_equality_without_subdivision():
     g = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-"),
                      (3, 4, "-"), (3, 4, "+")])
@@ -191,6 +254,88 @@ def test_decomposition_parts_partition_the_edges():
             assert not (edge_set & union)
             union |= edge_set
         assert union == set(range(ghat(0).m))
+
+
+def _partition_oracle(g, k) -> set:
+    """Brute force: every set partition of the edges into at least two
+    blocks with indices summing to k, each block a negative cycle (1) or an
+    enumerated K4- edge set (2), plus at k = 4 a negative cycle next to a
+    critically 3-frustrated block with no such partition of its own.
+    Blocks are tried as every subset holding the lowest open edge."""
+    cycles = {c.edge_set for c in negative_cycles(g)}
+    k4s = set(k4_minus_subdivision_edge_sets(g))
+    everything = frozenset(range(g.m))
+    out = set()
+
+    def blocks(remaining, budget, parts):
+        if not remaining:
+            if budget == 0 and len(parts) >= 2:
+                out.add(frozenset(parts))
+            return
+        e0 = min(remaining)
+        rest = sorted(remaining - {e0})
+        for r in range(len(rest) + 1):
+            for combo in combinations(rest, r):
+                block = frozenset((e0, *combo))
+                w = 1 if block in cycles else 2 if block in k4s else 0
+                if 0 < w <= budget:
+                    blocks(remaining - block, budget - w,
+                           parts + ((block, w),))
+
+    blocks(everything, k, ())
+    if k == 4:
+        for c in cycles:
+            sub = g.restrict(everything - c)
+            if (sub.m and frustration_index(sub).index == 3
+                    and is_critical(sub, 3) and not _partition_oracle(sub, 3)):
+                out.add(frozenset({(c, 1), (everything - c, 3)}))
+    return out
+
+
+@given(st.one_of(part_unions(max_m=14), signed_graphs(max_n=6, max_m=10)))
+@example(build_graph(  # K4- holding the lowest edge next to a loop: (1, 2)
+    [(u, v, "-") for u in range(4) for v in range(u)] + [(4, 4, "-")]))
+@example(build_graph(  # two disjoint K4-: (2, 2)
+    [(u + s, v + s, "-") for s in (0, 4) for u in range(4) for v in range(u)]))
+@example(build_graph(  # a critically 3-frustrated part next to a loop: (1, 3)
+    [(e.u, e.v, e.sign) for e in catalog.get("k5-minus").graph.edges]
+    + [("x", "x", "-")]))
+@example(build_graph(  # K4- holding the lowest edge next to two loops
+    [(u, v, "-") for u in range(4) for v in range(u)]
+    + [(4, 4, "-"), (5, 5, "-")]))
+@example(build_graph(  # K4- next to two negative cycles sharing 0-4, 5-1
+    [(u, v, "-") for u in range(4) for v in range(u)]
+    + [(0, 4, "-"), (4, 5, "+"), (4, 5, "+"), (5, 1, "+"), (1, 0, "+"),
+       (1, 0, "+")]))
+@settings(max_examples=120, deadline=None)
+def test_decompositions_match_the_partition_oracle(g):
+    for k in (2, 3, 4):
+        got = find_decompositions(g, k)
+        assert len({frozenset(d.parts) for d in got}) == len(got)
+        assert {frozenset(d.parts) for d in got} == _partition_oracle(g, k)
+        assert is_decomposable(g, k) == bool(got)
+
+
+@pytest.mark.parametrize("make, counts", [
+    (ghat, {0: 2, 1: 10, 2: 42, 3: 170, 4: 682}),
+    (lambda t: ghat_planar(t)[0], {1: 22, 2: 86, 3: 342}),
+])
+def test_ladder_decomposition_counts(make, counts):
+    assert {t: len(find_decompositions(make(t))) for t in counts} == counts
+
+
+def test_k4_joins_of_index_4_are_not_decomposable():
+    def minimum_form(name):
+        g = catalog.get(name).graph
+        gmin = switch(g, frustration_index(g).switch_set)
+        return gmin, min(gmin.negative_edge_ids)
+
+    k4, e = minimum_form("k4-minus-all")
+    for name in ("k5-minus", "w5", "g4", "g4-prime", "s3-petersen"):
+        other, f = minimum_form(name)
+        for joined in (h_join(k4, e, other, f), h_join(other, f, k4, e)):
+            assert frustration_index(joined).index == 4, name
+            assert not is_decomposable(joined, 4), name
 
 
 # -- star-class membership ---------------------------------------------------------
