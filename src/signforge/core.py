@@ -491,7 +491,11 @@ def canonical_form(g: SignedGraph, max_vertices: int = 7) -> tuple:
     """Lexicographic minimum encoding over all (permutation, switching) pairs.
 
     Equal keys iff switching-isomorphic.  Brute force; intended for the
-    enumeration module's scale.
+    enumeration module's scale.  Two exact prunes: only the switchings
+    that leave the last vertex alone are scanned (switching every vertex
+    changes no non-loop edge, and loops are never switched), and a
+    permutation whose loop part already exceeds the best key's is skipped
+    (the loop part is compared before the edges).
     """
     guards.check(g.n, max_vertices, "canonical form brute force")
     n = g.n
@@ -501,16 +505,15 @@ def canonical_form(g: SignedGraph, max_vertices: int = 7) -> tuple:
     best = None
     for perm in itertools.permutations(range(n)):
         loop_key = tuple(sorted((perm[v], s) for v, s in loops))
-        for mask in range(1 << n):
-            enc = []
-            for u, v, s in plain:
-                if ((mask >> u) ^ (mask >> v)) & 1:
-                    s = -s
-                a, b = perm[u], perm[v]
-                if a > b:
-                    a, b = b, a
-                enc.append((a, b, s))
-            key = (n, loop_key, tuple(sorted(enc)))
+        if best is not None and loop_key > best[1]:
+            continue
+        # per edge: its ends, then its encoding unswitched and switched
+        ends = [(u, v, (*sorted((perm[u], perm[v])), s),
+                 (*sorted((perm[u], perm[v])), -s)) for u, v, s in plain]
+        for mask in range(1 << max(n - 1, 0)):
+            key = (n, loop_key, tuple(sorted([
+                flip if (mask >> u ^ mask >> v) & 1 else same
+                for u, v, same, flip in ends])))
             if best is None or key < best:
                 best = key
     return best

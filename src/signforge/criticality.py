@@ -33,8 +33,7 @@ from . import guards
 from .core import NEG, EdgeCut, SignedGraph, cut, switch
 from .errors import PreconditionError
 from .frustration import (FrustrationResult, _component_scans,
-                          _loop_baseline, all_minimum_signatures,
-                          frustration_index)
+                          _loop_baseline, _signatures, frustration_index)
 
 METHODS = ("deletion", "signatures", "cuts")
 
@@ -111,8 +110,12 @@ def _certify_deletion(g: SignedGraph, k: int,
                                   {"index_after_deletion": drops})
 
 
-def _certify_signatures(g: SignedGraph, k: int) -> CriticalityCertificate:
-    sigs = all_minimum_signatures(g)
+def _certify_signatures(g: SignedGraph, k: int,
+                        scans: list) -> CriticalityCertificate:
+    # the signatures are a product over the components, so g.n bounds them
+    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
+                 "minimum-signature enumeration")
+    sigs = _signatures(g, scans)
     witness = {}
     critical = True
     for e in g.edges:
@@ -148,13 +151,14 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; use one of {METHODS}")
-    if method == "deletion":
-        # one scan per component gives the index and every ℓ(G-e)
-        scans = _component_scans(g)
-        index = _loop_baseline(g) + sum(s[1] for s in scans)
-    else:
+    if method == "cuts":
         res = frustration_index(g)
         index = res.index
+    else:
+        # one scan per component gives the index and every ℓ(G-e), or
+        # every minimum signature
+        scans = _component_scans(g)
+        index = _loop_baseline(g) + sum(s[1] for s in scans)
     if k is None:
         k = index
     if index != k or k == 0:
@@ -163,7 +167,7 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     if method == "deletion":
         return _certify_deletion(g, k, scans)
     if method == "signatures":
-        return _certify_signatures(g, k)
+        return _certify_signatures(g, k, scans)
     return _certify_cuts(g, k, res)
 
 

@@ -35,8 +35,7 @@ def enumerate_cycles(g: SignedGraph, cap: int = None,
     unless the guard override is active.
     """
     if negative_only:
-        return tuple(c for c in enumerate_cycles(g, cap)
-                     if cycle_sign(g, c) == NEG)
+        return _negative(g, enumerate_cycles(g, cap))
     limit = guards.CYCLE_CAP if cap is None else cap
     order = {v: i for i, v in enumerate(g.vertices)}
     seen = set()
@@ -88,9 +87,16 @@ def enumerate_cycles(g: SignedGraph, cap: int = None,
     return tuple(out)
 
 
+def _negative(g: SignedGraph, cycles: tuple) -> tuple:
+    """The negative members of cycles the enumerator built (so already
+    valid): those with an odd number of edges in g's negative mask."""
+    neg = g.negative_mask
+    return tuple(c for c in cycles
+                 if sum(neg >> eid & 1 for eid in c.edge_ids) & 1)
+
+
 def negative_cycles(g: SignedGraph, cap: int = None) -> tuple:
-    return tuple(c for c in enumerate_cycles(g, cap)
-                 if cycle_sign(g, c) == NEG)
+    return _negative(g, enumerate_cycles(g, cap))
 
 
 # -- minimum negative-cycle cover ----------------------------------------------

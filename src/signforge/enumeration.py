@@ -8,20 +8,27 @@ vertex count is a class invariant.  One representative per switching-
 isomorphism class survives a brute-force canonical-form filter.
 
 The critical-graph filter runs on the raw integer encoding before any
-deduplication: frustration index and per-edge-deletion drops are computed
-by direct switch-mask scans, which keeps the classification runs at
-minutes even though the raw space is in the millions.
+deduplication, through the switching kernel of `frustration`: each pair
+assignment becomes edge bitmasks (one bit run per bundle) and is scanned
+once, whatever its loops.  Deleting a pair edge lowers the index exactly
+when the edge is negative in some minimum switching (the kernel's
+OR-mask), and deleting a negative loop always does, so an assignment
+gives critical candidates only when its OR-mask covers every pair edge,
+and then exactly those whose loops number k minus its index.  The work
+is one scan per pair assignment, not one per (loop vector, assignment)
+and deleted edge.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import guards
 from .core import NEG, POS, SignedGraph, build_graph, canonical_form
 from .errors import GuardExceeded
+from .frustration import _walk
 
 
 @dataclass(frozen=True)
@@ -49,11 +56,29 @@ def _pair_list(n: int) -> tuple:
     return tuple(itertools.combinations(range(n), 2))
 
 
+def _assignments(b: EnumBounds, pairs: tuple, budget: int) -> Iterator[tuple]:
+    """(assignment, edges used) for every assignment of (mult, neg) to
+    pairs using at most budget edges, in lexicographic order."""
+    pair_opts = [(m, neg) for m in range(b.max_multiplicity_per_pair + 1)
+                 for neg in range(m + 1)]
+
+    def assign(i: int, acc: list, used: int) -> Iterator[tuple]:
+        if i == len(pairs):
+            yield tuple(acc), used
+            return
+        for opt in pair_opts:
+            if used + opt[0] > budget:
+                continue
+            acc.append(opt)
+            yield from assign(i + 1, acc, used + opt[0])
+            acc.pop()
+
+    return assign(0, [], 0)
+
+
 def _raw_candidates(b: EnumBounds) -> Iterator[tuple]:
     """All raw candidates within bounds, no isolated vertices, deterministic
     lexicographic order."""
-    pair_opts = [(m, neg) for m in range(b.max_multiplicity_per_pair + 1)
-                 for neg in range(m + 1)]
     for n in range(1, b.max_vertices + 1):
         pairs = _pair_list(n)
         loop_opts = range(b.max_negative_loops_per_vertex + 1)
@@ -61,20 +86,7 @@ def _raw_candidates(b: EnumBounds) -> Iterator[tuple]:
             lsum = sum(loops)
             if lsum > b.max_edges:
                 continue
-            budget = b.max_edges - lsum
-
-            def assign(i: int, acc: list, used: int) -> Iterator[tuple]:
-                if i == len(pairs):
-                    yield tuple(acc)
-                    return
-                for opt in pair_opts:
-                    if used + opt[0] > budget:
-                        continue
-                    acc.append(opt)
-                    yield from assign(i + 1, acc, used + opt[0])
-                    acc.pop()
-
-            for assignment in assign(0, [], 0):
+            for assignment, _ in _assignments(b, pairs, b.max_edges - lsum):
                 deg = [2 * l for l in loops]
                 for (u, v), (mult, _) in zip(pairs, assignment):
                     deg[u] += mult
@@ -101,48 +113,6 @@ def _raw_connected(n: int, pairs: tuple, assignment: tuple) -> bool:
                 seen.add(o)
                 stack.append(o)
     return len(seen) == n
-
-
-def _raw_frustration(n: int, loops: tuple, pairs: tuple,
-                     assignment) -> int:
-    """Min negative count over switch masks, on the raw encoding."""
-    best = None
-    for mask in range(1 << (n - 1)):  # vertex n-1 pinned
-        neg = 0
-        for (u, v), (mult, nneg) in zip(pairs, assignment):
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                neg += mult - nneg
-            else:
-                neg += nneg
-        if best is None or neg < best:
-            best = neg
-            if best == 0:
-                break
-    return best + sum(loops)
-
-
-def _raw_is_critical(n: int, loops: tuple, pairs: tuple,
-                     assignment: tuple, k: int) -> bool:
-    """Every single-edge deletion drops the index to k-1.
-
-    Parallel same-sign edges are interchangeable, so one deletion per
-    (pair, sign) class suffices; removing a negative loop always drops the
-    index by exactly one.
-    """
-    lst = list(assignment)
-    for i, (mult, nneg) in enumerate(lst):
-        variants = []
-        if nneg >= 1:
-            variants.append((mult - 1, nneg - 1))
-        if mult - nneg >= 1:
-            variants.append((mult - 1, nneg))
-        for var in variants:
-            lst[i] = var
-            drop = _raw_frustration(n, loops, pairs, tuple(lst))
-            lst[i] = (mult, nneg)
-            if drop != k - 1:
-                return False
-    return True
 
 
 def _raw_to_graph(n: int, loops: tuple, pairs: tuple,
@@ -174,6 +144,44 @@ def enumerate_signed_graphs(b: EnumBounds) -> Iterator[SignedGraph]:
         yield from_canonical_form(key)
 
 
+def _raw_critical_hits(b: EnumBounds, k: int) -> list:
+    """Every critically k-frustrated raw candidate, in `_raw_candidates`
+    order, from one scan per pair assignment (see the module docstring)."""
+    hits = []
+    for n in range(1, b.max_vertices + 1):
+        pairs = _pair_list(n)
+        for assignment, used in _assignments(b, pairs, b.max_edges):
+            # bit runs per bundle, negative edges first; per-vertex masks
+            inc = [0] * n
+            neg = bit = 0
+            for (u, v), (mult, nneg) in zip(pairs, assignment):
+                if mult:
+                    run = ((1 << mult) - 1) << bit
+                    neg |= ((1 << nneg) - 1) << bit
+                    inc[u] |= run
+                    inc[v] |= run
+                    bit += mult
+            # critical graphs have minimum degree >= 2 (a pendant edge is
+            # in no cycle, so deleting it cannot change the index); a loop
+            # adds 2 and the pair edges at v are the bits of inc[v]
+            low = [int(mask.bit_count() < 2) for mask in inc]
+            room = b.max_edges - used
+            if sum(low) > min(k, room) or b.connected_only and \
+                    not _raw_connected(n, pairs, assignment):
+                continue
+            index, _, neg_or = _walk(inc[1:], neg)  # vertex 0 pinned
+            lsum = k - index
+            if neg_or != (1 << bit) - 1 or not sum(low) <= lsum <= room:
+                continue
+            for loops in itertools.product(
+                    *(range(lo, b.max_negative_loops_per_vertex + 1)
+                      for lo in low)):
+                if sum(loops) == lsum:
+                    hits.append((n, loops, assignment))
+    hits.sort()
+    return hits
+
+
 def enumerate_critical(b: EnumBounds, k: int,
                        irreducible_only: bool = False,
                        non_decomposable_only: bool = False) -> tuple:
@@ -188,21 +196,8 @@ def enumerate_critical(b: EnumBounds, k: int,
 
     seen = set()
     out = []
-    for n, loops, assignment in _raw_candidates(b):
-        pairs = _pair_list(n)
-        # critical graphs have minimum degree >= 2 (a pendant edge is in
-        # no cycle, so deleting it cannot change the index)
-        deg = [2 * l for l in loops]
-        for (u, v), (mult, _) in zip(pairs, assignment):
-            deg[u] += mult
-            deg[v] += mult
-        if any(d < 2 for d in deg):
-            continue
-        if _raw_frustration(n, loops, pairs, assignment) != k:
-            continue
-        if not _raw_is_critical(n, loops, pairs, assignment, k):
-            continue
-        g = _raw_to_graph(n, loops, pairs, assignment)
+    for n, loops, assignment in _raw_critical_hits(b, k):
+        g = _raw_to_graph(n, loops, _pair_list(n), assignment)
         if irreducible_only and not is_irreducible(g):
             continue
         if non_decomposable_only and is_decomposable(g, k):

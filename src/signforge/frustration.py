@@ -12,7 +12,9 @@ the negative-edge mask with that vertex's mask and one popcount.
 For each component the kernel returns the minimum, every minimizing
 switch mask, and the OR of the negative-edge masks those switchings
 induce.  The index, its lex-least witness, all minimum signatures and the
-deletion certificate in `criticality` are all read from that one pass.
+deletion and signature certificates in `criticality` are all read from
+that one pass.  The Gray-code loop itself, `_walk`, takes raw masks, so
+`enumeration` runs it on masks built straight from its integer encoding.
 
 Negative loops are unswitchable and each contributes exactly 1; positive
 loops contribute 0.  Loops never enter the masks, and the negative loops
@@ -42,26 +44,21 @@ class FrustrationResult:
         }
 
 
-def _scan(g: SignedGraph, comp: frozenset) -> tuple:
-    """Scan the 2^(c-1) switchings of one component, its anchor pinned.
+def _walk(inc: list, neg: int) -> tuple:
+    """The Gray-code switching loop, on raw masks.
 
-    The anchor is the component's first vertex in vertex order; the other
-    c-1 vertices, in vertex order, are `free`, and bit i of a switch mask
-    switches free[i].  Returns (free, minimum, masks, neg_or): the least
-    number of negative non-loop edges, every switch mask reaching it (in
+    inc[i] is the incidence mask of the i-th free vertex and neg the
+    negative-edge mask to start from; the pinned vertex is implicit.
+    Bit i of a switch mask switches the i-th free vertex.  Returns
+    (minimum, masks, neg_or): the least popcount of the negative-edge mask
+    over all 2^len(inc) switchings, every switch mask reaching it (in
     Gray-code order, starting from the empty switching), and the OR of the
     negative-edge masks those switchings induce.
     """
-    anchor, *free = sorted(comp, key=g.vindex.__getitem__)
-    inc = [g.incidence_masks[v] for v in free]
-    edges = g.incidence_masks[anchor]
-    for mask in inc:
-        edges |= mask
-    neg = g.negative_mask & edges
     best = neg.bit_count()
     masks = [0]
     neg_or = neg
-    for step in range(1, 1 << len(free)):
+    for step in range(1, 1 << len(inc)):
         neg ^= inc[(step & -step).bit_length() - 1]
         count = neg.bit_count()
         if count <= best:
@@ -71,7 +68,24 @@ def _scan(g: SignedGraph, comp: frozenset) -> tuple:
                 neg_or = 0
             masks.append(step ^ (step >> 1))
             neg_or |= neg
-    return free, best, masks, neg_or
+    return best, masks, neg_or
+
+
+def _scan(g: SignedGraph, comp: frozenset) -> tuple:
+    """`_walk` over the 2^(c-1) switchings of one component, its anchor
+    pinned.
+
+    The anchor is the component's first vertex in vertex order; the other
+    c-1 vertices, in vertex order, are `free`, and bit i of a switch mask
+    switches free[i].  Returns (free, minimum, masks, neg_or) for the
+    component's non-loop edges.
+    """
+    anchor, *free = sorted(comp, key=g.vindex.__getitem__)
+    inc = [g.incidence_masks[v] for v in free]
+    edges = g.incidence_masks[anchor]
+    for mask in inc:
+        edges |= mask
+    return (free, *_walk(inc, g.negative_mask & edges))
 
 
 def _switch_set(free: list, mask: int) -> frozenset:
@@ -123,10 +137,13 @@ def all_minimum_signatures(g: SignedGraph,
     """
     # the answer is a product over the components, so g.n bounds it
     guards.check(g.n, _limit(max_vertices), "minimum-signature enumeration")
-    per_comp = []
-    for comp in g.components:
-        free, _, masks, _ = _scan(g, comp)
-        per_comp.append([_switch_set(free, m) for m in masks])
+    return _signatures(g, [_scan(g, comp) for comp in g.components])
+
+
+def _signatures(g: SignedGraph, scans: list) -> tuple:
+    """`all_minimum_signatures` read from the components' `_scan`s."""
+    per_comp = [[_switch_set(free, m) for m in masks]
+                for free, _, masks, _ in scans]
     out = set()
     for combo in itertools.product(*per_comp):
         full = frozenset().union(*combo)

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signforge.core import (NEG, POS, Cycle, build_graph, canonical_form,
@@ -133,3 +135,45 @@ def test_canonical_form_matches_isomorphism_test(data):
     same_key = canonical_form(g1) == canonical_form(g2)
     same_iso = switching_isomorphic(g1, g2) is not None
     assert same_key == same_iso
+
+
+def brute_force_canonical_form(g):
+    """Oracle: the lex-least key over all n! permutations and all 2^n
+    switchings, with no pruning."""
+    idx = g.vindex
+    loops = [(idx[e.u], e.sign) for e in g.edges if e.is_loop]
+    plain = [(idx[e.u], idx[e.v], e.sign) for e in g.edges if not e.is_loop]
+    best = None
+    for perm in itertools.permutations(range(g.n)):
+        loop_key = tuple(sorted((perm[v], s) for v, s in loops))
+        for mask in range(1 << g.n):
+            enc = []
+            for u, v, s in plain:
+                if ((mask >> u) ^ (mask >> v)) & 1:
+                    s = -s
+                enc.append((*sorted((perm[u], perm[v])), s))
+            key = (g.n, loop_key, tuple(sorted(enc)))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+@st.composite
+def loopy_multigraphs(draw):
+    """Graphs on at most 5 vertices with loops of either sign and
+    parallel edges of mixed signs."""
+    n = draw(st.integers(1, 5))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.sampled_from((POS, NEG))),
+                          max_size=9))
+    return build_graph(edges, isolated=range(n))
+
+
+@given(loopy_multigraphs())
+@example(build_graph([(0, 1, POS), (1, 2, POS), (2, 0, NEG)]))  # no loops
+@example(build_graph([(0, 0, NEG), (1, 1, NEG), (0, 1, POS), (1, 2, NEG),
+                      (1, 2, NEG), (2, 0, POS)]))  # ties on the loop part
+@settings(max_examples=150, deadline=None)
+def test_canonical_form_matches_unpruned_brute_force(g):
+    assert canonical_form(g) == brute_force_canonical_form(g)

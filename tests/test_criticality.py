@@ -147,3 +147,16 @@ def test_cut_search_is_guarded_on_n(monkeypatch):
         certify(g, method="cuts")
     with pytest.raises(GuardExceeded):
         equilibrated_cut_for_edge(g, 0)
+
+
+def test_signature_certificate_is_guarded_on_n_after_the_index(monkeypatch):
+    monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
+    # components of at most 3 vertices, 25 vertices in all
+    g = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-")],
+                    isolated=range(3, 25))
+    assert certify(g, method="deletion").critical
+    with pytest.raises(GuardExceeded):
+        certify(g, method="signatures")
+    # a k that is not the index is refuted before the guard is reached
+    assert certify(g, 2, method="signatures").details == {
+        "frustration_index": 1}

@@ -1,8 +1,15 @@
 import random
 
-from signforge.core import build_graph, canonical_form, switch
-from signforge.enumeration import (EnumBounds, enumerate_critical,
+import pytest
+
+from signforge.core import (build_graph, canonical_form, from_canonical_form,
+                            switch)
+from signforge.cycles import enumerate_cycles, negative_cycles
+from signforge.enumeration import (EnumBounds, _pair_list, _raw_candidates,
+                                   _raw_to_graph, enumerate_critical,
                                    enumerate_signed_graphs)
+from signforge.frustration import frustration_by_cover
+from signforge.structure import is_decomposable, is_irreducible
 
 
 def test_single_vertex_stream():
@@ -56,13 +63,15 @@ def test_relabeling_audit():
 def test_critically_1_classes_are_negative_cycles():
     b = EnumBounds(max_vertices=3, max_multiplicity_per_pair=2,
                    max_negative_loops_per_vertex=2, max_edges=6)
-    from signforge.cycles import negative_cycles
-    for g in enumerate_critical(b, 1):
-        comps = g.components
-        for comp in comps:
+    classes = enumerate_critical(b, 1)
+    assert classes
+    for g in classes:
+        for comp in g.components:
             sub = g.restrict(frozenset(
                 e.eid for e in g.edges if e.u in comp))
-            assert all(g.degree(v) == 2 for v in comp)
+            whole = frozenset(range(sub.m))
+            assert [c.edge_set for c in negative_cycles(sub)] == [whole]
+            assert [c.edge_set for c in enumerate_cycles(sub)] == [whole]
 
 
 def test_irreducible_critically_1_is_single_loop():
@@ -80,3 +89,49 @@ def test_connected_only_filter():
                    connected_only=True)
     for g in enumerate_signed_graphs(b):
         assert len(g.components) == 1
+
+
+def brute_force_critical(b, k, irreducible_only=False,
+                         non_decomposable_only=False):
+    """Oracle for enumerate_critical: every raw candidate, in order, kept
+    when a minimum negative-cycle cover has size k and every single-edge
+    deletion leaves one of size k - 1; then the same filters and the same
+    first-member-wins dedupe."""
+    seen, out = set(), []
+    for n, loops, assignment in _raw_candidates(b):
+        g = _raw_to_graph(n, loops, _pair_list(n), assignment)
+        if frustration_by_cover(g) != k or not all(
+                frustration_by_cover(g.delete_edges([e.eid])) == k - 1
+                for e in g.edges):
+            continue
+        if irreducible_only and not is_irreducible(g):
+            continue
+        if non_decomposable_only and is_decomposable(g, k):
+            continue
+        key = canonical_form(g)
+        if key not in seen:
+            seen.add(key)
+            out.append(from_canonical_form(key))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("bounds, k, irreducible_only, non_decomposable_only", [
+    (EnumBounds(3, 2, 2, 6), 1, False, False),
+    (EnumBounds(3, 2, 2, 6), 1, True, False),
+    (EnumBounds(3, 2, 2, 6, connected_only=True), 1, False, False),
+    (EnumBounds(3, 2, 2, 6), 2, False, False),
+    (EnumBounds(3, 2, 2, 6), 2, True, False),
+    (EnumBounds(3, 2, 2, 6), 2, False, True),
+    (EnumBounds(3, 2, 2, 6), 2, True, True),
+    (EnumBounds(4, 2, 1, 5), 2, False, False),
+    (EnumBounds(4, 2, 0, 6), 2, True, True),
+    (EnumBounds(4, 1, 1, 6, connected_only=True), 2, False, False),
+    (EnumBounds(3, 3, 2, 6), 3, False, False),
+    (EnumBounds(3, 2, 1, 6), 3, True, False),
+])
+def test_enumerate_critical_matches_brute_force(
+        bounds, k, irreducible_only, non_decomposable_only):
+    got = enumerate_critical(bounds, k, irreducible_only,
+                             non_decomposable_only)
+    assert got == brute_force_critical(bounds, k, irreducible_only,
+                                       non_decomposable_only)
