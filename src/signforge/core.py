@@ -490,32 +490,57 @@ def switching_isomorphic(g1: SignedGraph, g2: SignedGraph,
 def canonical_form(g: SignedGraph, max_vertices: int = 7) -> tuple:
     """Lexicographic minimum encoding over all (permutation, switching) pairs.
 
-    Equal keys iff switching-isomorphic.  Brute force; intended for the
-    enumeration module's scale.  Two exact prunes: only the switchings
-    that leave the last vertex alone are scanned (switching every vertex
-    changes no non-loop edge, and loops are never switched), and a
-    permutation whose loop part already exceeds the best key's is skipped
-    (the loop part is compared before the edges).
+    Equal keys iff switching-isomorphic.  Brute force over the n!
+    permutations; intended for the enumeration module's scale.  The
+    switchings are not scanned: the edge part is sorted by vertex pair,
+    and a bundle reads smallest with the most negative edges, so the
+    pairs are taken in order and each gets the switching parity that
+    leaves its majority negative, unless the earlier pairs already fix
+    that parity.  A bundle with as many negative as positive edges reads
+    the same either way and fixes nothing.  A permutation whose loop part
+    already exceeds the best key's is skipped (the loop part is compared
+    before the edges).
     """
     guards.check(g.n, max_vertices, "canonical form brute force")
     n = g.n
     idx = g.vindex
     loops = [(idx[e.u], e.sign) for e in g.edges if e.is_loop]
-    plain = [(idx[e.u], idx[e.v], e.sign) for e in g.edges if not e.is_loop]
+    counts: dict = {}  # vertex pair -> [positive, negative] edges
+    for e in g.edges:
+        if not e.is_loop:
+            counts.setdefault(frozenset((idx[e.u], idx[e.v])),
+                              [0, 0])[e.sign == NEG] += 1
+    bundles = [(*pair, pos, neg) for pair, (pos, neg) in counts.items()]
     best = None
     for perm in itertools.permutations(range(n)):
         loop_key = tuple(sorted((perm[v], s) for v, s in loops))
         if best is not None and loop_key > best[1]:
             continue
-        # per edge: its ends, then its encoding unswitched and switched
-        ends = [(u, v, (*sorted((perm[u], perm[v])), s),
-                 (*sorted((perm[u], perm[v])), -s)) for u, v, s in plain]
-        for mask in range(1 << max(n - 1, 0)):
-            key = (n, loop_key, tuple(sorted([
-                flip if (mask >> u ^ mask >> v) & 1 else same
-                for u, v, same, flip in ends])))
-            if best is None or key < best:
-                best = key
+        # comp/par: the parity classes fixed so far, as component labels
+        # and each vertex's parity relative to its component
+        comp = list(range(n))
+        par = [0] * n
+        enc = []
+        for a, b, pos, neg in sorted(
+                (min(perm[u], perm[v]), max(perm[u], perm[v]), pos, neg)
+                for u, v, pos, neg in bundles):
+            if comp[a] == comp[b]:
+                flip = par[a] ^ par[b]
+            else:
+                flip = pos > neg
+                if pos != neg:
+                    ca, cb = comp[a], comp[b]
+                    delta = par[a] ^ par[b] ^ flip
+                    for x in range(n):
+                        if comp[x] == cb:
+                            comp[x] = ca
+                            par[x] ^= delta
+            if flip:
+                pos, neg = neg, pos
+            enc += [(a, b, NEG)] * neg + [(a, b, POS)] * pos
+        key = (n, loop_key, tuple(enc))
+        if best is None or key < best:
+            best = key
     return best
 
 
