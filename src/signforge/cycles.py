@@ -3,8 +3,11 @@
 All cycles here are simple: loops (length 1), parallel pairs (length 2)
 and longer vertex-disjoint circuits.  Enumeration is DFS from each start
 vertex using only later vertices, deduplicated by edge set, with a hard
-cap.  Cover and packing are exact branch-and-bound searches returning
-deterministic, lexicographically least witnesses.
+cap.  The minimum cover, the maximum packing and the double cover are
+one exact search, `_least_family`, for the lexicographically least
+family of options (edges or cycles, as bitmasks) that hits every item
+(cycles or edges) between a lower and an upper number of times; each
+returns that search's deterministic, lex-least witness.
 """
 
 from __future__ import annotations
@@ -99,71 +102,95 @@ def negative_cycles(g: SignedGraph, cap: int = None) -> tuple:
     return _negative(g, enumerate_cycles(g, cap))
 
 
-# -- minimum negative-cycle cover ----------------------------------------------
+# -- the family search behind cover, packing and double cover ----------------
+
+
+def _least_family(options: list, universe: int, size: int, lo: int,
+                  hi: Optional[int], repeat: int) -> Optional[tuple]:
+    """The lex-least ascending tuple of `size` indices into options, each
+    index used at most `repeat` times, such that every item of universe
+    is hit by between lo and hi of the chosen options (0 <= lo <= 2,
+    hi 1, 2 or None for no upper bound), or None if there is none.
+
+    Options and universe are int bitmasks of items, every option within
+    the universe.  The search tries the indices in ascending order, so
+    the first family found is the lex-least.  A branch ends when an item
+    still short of lo is hit by no option from here on, or when the
+    picks left cannot supply the missing hits or cannot fit under hi;
+    failed states are remembered.
+    """
+    n = len(options)
+    beyond = [0] * (n + 1)  # beyond[i]: the items options[i:] hit
+    for i in range(n - 1, -1, -1):
+        beyond[i] = beyond[i + 1] | options[i]
+    longest = max((o.bit_count() for o in options), default=0)
+    shortest = min((o.bit_count() for o in options), default=0)
+    u = universe.bit_count()
+    deep = 2 in (lo, hi)  # whether "hit twice" must be tracked
+    dead = set()
+
+    def step(start, uses, left, once, twice):
+        # hits[t]: the hits so far, each item counted at most t times
+        o = once.bit_count()
+        hits = (0, o, o + twice.bit_count())
+        if left * longest < lo * u - hits[lo]:
+            return None
+        if hi is not None and left * shortest > hi * u - hits[hi]:
+            return None
+        if not left:
+            return ()
+        key = (start, uses, left, once, twice)
+        if key in dead:
+            return None
+        short = universe & ~(universe, once, twice)[lo]  # items below lo
+        full = (once, twice)[hi - 1] if hi else 0  # items at hi
+        for j in range(start, n):
+            if short & ~beyond[j] or (n - j) * repeat < left:
+                break
+            opt = options[j]
+            if opt & full:
+                continue
+            c = uses + 1 if j == start else 1
+            found = step(*((j, c) if c < repeat else (j + 1, 0)), left - 1,
+                         once | opt, twice | once & opt if deep else 0)
+            if found is not None:
+                return (j,) + found
+        dead.add(key)
+        return None
+
+    return step(0, 0, size, 0, 0)
+
+
+def _edge_mask(c: Cycle) -> int:
+    return sum(1 << eid for eid in c.edge_ids)
+
+
+def _sorted_negative_cycles(g: SignedGraph, cap: Optional[int]) -> list:
+    """The negative cycles of g ordered by sorted edge-id tuple, the order
+    in which packings and double covers are lex-least."""
+    return sorted(negative_cycles(g, cap),
+                  key=lambda c: tuple(sorted(c.edge_ids)))
 
 
 def min_negative_cycle_cover(g: SignedGraph, cap: int = None
                              ) -> tuple:
     """Smallest edge set meeting every negative cycle, lex-least witness.
 
-    Returns a sorted tuple of edge ids.  By the switching characterization
-    this has the same size as the frustration index; the two are
-    cross-checked in the oracle tests, not here.
+    Returns a sorted tuple of edge ids: the family search over the edges
+    on negative cycles, each hitting the cycles through it, at ascending
+    sizes until one covers every cycle once.  By the switching
+    characterization this has the same size as the frustration index;
+    the two are cross-checked in the oracle tests, not here.
     """
     cycles = [c.edge_set for c in negative_cycles(g, cap)]
-    if not cycles:
-        return ()
-
-    # phase 1: optimal size by branching on an uncovered cycle's edges
-    best = len(frozenset().union(*cycles))
-
-    def covered(chosen: set) -> Optional[frozenset]:
-        for cyc in cycles:
-            if not (cyc & chosen):
-                return cyc
-        return None
-
-    def search(chosen: set, bound: int) -> Optional[int]:
-        nonlocal best
-        miss = covered(chosen)
-        if miss is None:
-            if len(chosen) < best:
-                best = len(chosen)
-            return
-        if len(chosen) + 1 >= best:
-            return
-        for eid in sorted(miss):
-            chosen.add(eid)
-            search(chosen, bound)
-            chosen.discard(eid)
-
-    search(set(), best)
-
-    # phase 2: lex-least witness of the optimal size, ascending combinations
-    edge_pool = sorted(frozenset().union(*cycles))
-
-    def lex_search(prefix: list, start: int) -> Optional[tuple]:
-        if covered(set(prefix)) is None:
-            return tuple(prefix) if len(prefix) == best else None
-        if len(prefix) == best:
-            return None
-        for i in range(start, len(edge_pool)):
-            # enough edges left to reach the target size?
-            if len(edge_pool) - i < best - len(prefix):
-                break
-            prefix.append(edge_pool[i])
-            found = lex_search(prefix, i + 1)
-            if found is not None:
-                return found
-            prefix.pop()
-        return None
-
-    witness = lex_search([], 0)
-    assert witness is not None
-    return witness
-
-
-# -- maximum edge-disjoint negative-cycle packing --------------------------------
+    pool = sorted(frozenset().union(*cycles))
+    options = [sum(1 << i for i, c in enumerate(cycles) if eid in c)
+               for eid in pool]
+    universe = (1 << len(cycles)) - 1
+    for size in range(len(pool) + 1):  # the whole pool is a cover
+        found = _least_family(options, universe, size, 1, None, 1)
+        if found is not None:
+            return tuple(pool[i] for i in found)
 
 
 def max_edge_disjoint_negative_cycles(g: SignedGraph, cap: int = None,
@@ -171,57 +198,22 @@ def max_edge_disjoint_negative_cycles(g: SignedGraph, cap: int = None,
     """Largest family of pairwise edge-disjoint negative cycles.
 
     Returns a tuple of Cycle values, lexicographically least at the
-    maximum size (cycles compared by sorted edge-id tuple).  With stop_at,
-    the search ends as soon as that many disjoint cycles are known to
-    exist — the returned family then has exactly stop_at members.
+    maximum size (cycles compared by sorted edge-id tuple): the family
+    search over the negative cycles, each edge hit at most once, at
+    ascending sizes until none exists.  With stop_at, the search ends as
+    soon as that many disjoint cycles are found, and the returned family
+    is the lex-least with exactly stop_at members.
     """
-    cycles = sorted(negative_cycles(g, cap),
-                    key=lambda c: tuple(sorted(c.edge_ids)))
-    if not cycles:
-        return ()
-    sets = [c.edge_set for c in cycles]
-    nmax = len(cycles)
-    shortest = min(len(s) for s in sets)
-
-    best = 0
-    # iterative take/skip over cycle indices; bound by how many more
-    # disjoint cycles could still fit in the untouched edges
-    stack = [(0, frozenset(), 0)]
-    while stack:
-        i, used, count = stack.pop()
-        if count > best:
-            best = count
-            if stop_at is not None and best >= stop_at:
-                best = stop_at
-                break
-        if i == nmax:
-            continue
-        room = (g.m - len(used)) // shortest
-        if count + min(nmax - i, room) <= best:
-            continue
-        stack.append((i + 1, used, count))
-        if not (sets[i] & used):
-            stack.append((i + 1, used | sets[i], count + 1))
-
-    # retrieve the lex-least packing attaining best
-    def pick(i: int, used: frozenset, chosen: list) -> Optional[tuple]:
-        if len(chosen) == best:
-            return tuple(chosen)
-        if nmax - i < best - len(chosen):
-            return None
-        for j in range(i, nmax):
-            if sets[j] & used:
-                continue
-            chosen.append(cycles[j])
-            found = pick(j + 1, used | sets[j], chosen)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
-    witness = pick(0, frozenset(), [])
-    assert witness is not None
-    return witness
+    cycles = _sorted_negative_cycles(g, cap)
+    options = [_edge_mask(c) for c in cycles]
+    family = ()
+    while len(family) != stop_at:
+        found = _least_family(options, (1 << g.m) - 1, len(family) + 1,
+                              0, 1, 1)
+        if found is None:
+            break
+        family = found
+    return tuple(cycles[i] for i in family)
 
 
 def packing_number(g: SignedGraph, cap: int = None) -> int:
@@ -233,9 +225,6 @@ def has_two_edge_disjoint_negative_cycles(g: SignedGraph,
     return len(max_edge_disjoint_negative_cycles(g, cap, stop_at=2)) >= 2
 
 
-# -- negative-cycle double covers -------------------------------------------------
-
-
 def negative_cycle_double_cover(g: SignedGraph, k: int, cap: int = None,
                                 distinct_only: bool = False
                                 ) -> Optional[tuple]:
@@ -243,67 +232,20 @@ def negative_cycle_double_cover(g: SignedGraph, k: int, cap: int = None,
 
     Cycles may repeat, at most twice each (a single negative loop needs
     the loop cycle taken twice); distinct_only forbids repetition.
-    Returns the family as a tuple of Cycle values or None if no such
-    cover exists.  Exact cover search branching on the lowest edge with
-    unmet demand.  Requires k to be the frustration index of g.
+    Returns the family as a tuple of Cycle values, lexicographically
+    least (cycles compared by sorted edge-id tuple), or None if no such
+    cover exists: the family search over the negative cycles with every
+    edge of g hit exactly twice, so an edge on no negative cycle gives
+    None.  Requires k to be the frustration index of g.
     """
     from .frustration import frustration_index
     if frustration_index(g).index != k:
         raise PreconditionError(
             f"k={k} is not the frustration index of the graph")
-    cycles = sorted(negative_cycles(g, cap),
-                    key=lambda c: tuple(sorted(c.edge_ids)))
-    if not cycles:
-        return None
-    multiplicity_cap = 1 if distinct_only else 2
-    sets = [c.edge_set for c in cycles]
-    by_edge = {e.eid: [] for e in g.edges}
-    for i, s in enumerate(sets):
-        for eid in s:
-            by_edge[eid].append(i)
-
-    demand = {e.eid: 2 for e in g.edges}
-    chosen: list = []
-    counts = [0] * len(cycles)
-    longest = max(len(s) for s in sets)
-    shortest = min(len(s) for s in sets)
-    dead: set = set()  # (demand snapshot, picks left, floor) with no solution
-
-    def step(floor: int) -> Optional[tuple]:
-        remaining = sum(demand.values())
-        picks_left = 2 * k - len(chosen)
-        if remaining == 0:
-            return tuple(cycles[i] for i in chosen) if picks_left == 0 else None
-        if picks_left == 0 or not (picks_left * shortest <= remaining
-                                   <= picks_left * longest):
-            return None
-        memo_key = (tuple(sorted(demand.items())), picks_left, floor)
-        if memo_key in dead:
-            return None
-        # branch on the lowest edge with unmet demand; it stays the branch
-        # edge until its demand is exhausted, so a per-edge index floor
-        # dedupes the (at most two) cycles chosen to cover it
-        eid = min(e for e, d in demand.items() if d > 0)
-        for i in by_edge[eid]:
-            if i < floor or counts[i] >= multiplicity_cap:
-                continue
-            if any(demand[x] == 0 for x in sets[i]):
-                continue
-            for x in sets[i]:
-                demand[x] -= 1
-            counts[i] += 1
-            chosen.append(i)
-            found = step(i if demand[eid] > 0 else 0)
-            if found is not None:
-                return found
-            chosen.pop()
-            counts[i] -= 1
-            for x in sets[i]:
-                demand[x] += 1
-        dead.add(memo_key)
-        return None
-
-    return step(0)
+    cycles = _sorted_negative_cycles(g, cap)
+    found = _least_family([_edge_mask(c) for c in cycles], (1 << g.m) - 1,
+                          2 * k, 2, 2, 1 if distinct_only else 2)
+    return None if found is None else tuple(cycles[i] for i in found)
 
 
 def _edge_counts(g: SignedGraph, cs) -> list:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import guards
-from .core import NEG, POS, SignedGraph, build_graph, canonical_form
+from .core import (NEG, POS, SignedGraph, build_graph, canonical_form,
+                   from_canonical_form)
 from .errors import GuardExceeded
 from .frustration import _walk
 
@@ -133,7 +134,6 @@ def enumerate_signed_graphs(b: EnumBounds) -> Iterator[SignedGraph]:
     member wins, and the emitted value is rebuilt from its canonical key.
     """
     b.check()
-    from .core import from_canonical_form
     seen = set()
     for n, loops, assignment in _raw_candidates(b):
         g = _raw_to_graph(n, loops, _pair_list(n), assignment)
@@ -191,7 +191,6 @@ def enumerate_critical(b: EnumBounds, k: int,
     non_decomposable_only drops decomposable graphs.
     """
     b.check()
-    from .core import from_canonical_form
     from .structure import is_decomposable, is_irreducible
 
     seen = set()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import NEG, SignedGraph, switch
-from .errors import EmbeddingError, TheoremViolation
+from .errors import EmbeddingError, PreconditionError, TheoremViolation
 from .frustration import frustration_index
 
 # a dart is (edge id, end); end 0 = the 'a' end (edge.u), end 1 = 'b' (edge.v)
@@ -146,7 +146,6 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
     """
     if check_critical:
         from .criticality import is_critical
-        from .errors import PreconditionError
         if not is_critical(g, k):
             raise PreconditionError(f"graph is not critically {k}-frustrated")
     fs = faces(g, rot, planar=True)

@@ -34,7 +34,8 @@ from typing import Callable, Iterator, Optional
 
 from . import guards
 from .core import NEG, POS, SignedGraph, build_graph
-from .cycles import max_edge_disjoint_negative_cycles, negative_cycles
+from .cycles import (has_two_edge_disjoint_negative_cycles,
+                     max_edge_disjoint_negative_cycles, negative_cycles)
 from .errors import PreconditionError, TheoremViolation
 from .frustration import frustration_index
 
@@ -349,7 +350,6 @@ def in_s_star(g: SignedGraph, k: Optional[int] = None) -> bool:
         k = ell
     if ell != k or not is_critical(g, k):
         raise PreconditionError(f"graph is not critically {k}-frustrated")
-    from .cycles import has_two_edge_disjoint_negative_cycles
     return not has_two_edge_disjoint_negative_cycles(g)
 
 

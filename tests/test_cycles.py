@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
 
 from signforge.core import Cycle, NEG, build_graph
 from signforge.cycles import (enumerate_cycles, has_two_edge_disjoint_negative_cycles,
@@ -9,6 +12,7 @@ from signforge.cycles import (enumerate_cycles, has_two_edge_disjoint_negative_c
 from signforge.errors import CycleCapExceeded, PreconditionError
 from signforge.frustration import frustration_index
 from signforge.constructions import ghat
+from strategies import signed_graphs
 
 
 def k4_all_negative():
@@ -106,3 +110,81 @@ def test_cycle_cap_is_enforced(monkeypatch):
         enumerate_cycles(g)
     monkeypatch.setenv("SIGNFORGE_GUARD_OVERRIDE", "1")
     assert len(enumerate_cycles(g)) == 7
+
+
+# -- brute-force oracles for the one family search -------------------------------
+# Each takes the first family in itertools order that meets the definition,
+# so the search's lex-least witnesses are checked, not just its sizes.
+
+def _sorted_negative_cycles(g):
+    return sorted(negative_cycles(g), key=lambda c: tuple(sorted(c.edge_ids)))
+
+
+def _first(families, ok):
+    return next((f for f in families if ok(f)), None)
+
+
+def _first_by_size(sizes, families, ok):
+    """The first family meeting ok, of the first size that has one."""
+    for size in sizes:
+        found = _first(families(size), ok)
+        if found is not None:
+            return found
+
+
+def _disjoint(fam):
+    return sum(len(c.edge_ids) for c in fam) == len(
+        set().union(*(c.edge_set for c in fam)))
+
+
+_loop = build_graph([(0, 0, NEG)])  # its only double cover repeats the loop
+_bridge = build_graph([(0, 0, NEG), (0, 1, "+")])  # edge 1 on no negative cycle
+
+
+@given(signed_graphs(max_n=5, max_m=8))
+@example(_loop)
+@example(_bridge)
+@settings(max_examples=100, deadline=None)
+def test_cover_is_the_first_hitting_edge_set_in_size_order(g):
+    sets = [c.edge_set for c in negative_cycles(g)]
+    want = _first_by_size(range(g.m + 1),
+                          lambda size: itertools.combinations(range(g.m), size),
+                          lambda es: all(s & set(es) for s in sets))
+    assert min_negative_cycle_cover(g) == want
+
+
+@given(signed_graphs(max_n=5, max_m=8))
+@example(_loop)
+@example(_bridge)
+@settings(max_examples=100, deadline=None)
+def test_packing_is_the_first_disjoint_family_largest_size_first(g):
+    cycles = _sorted_negative_cycles(g)
+    # a packing never outgrows the index: each member needs its own edge
+    # of a minimum cover
+    k = frustration_index(g).index
+    want = _first_by_size(range(min(k, len(cycles)), -1, -1),
+                          lambda size: itertools.combinations(cycles, size),
+                          _disjoint)
+    assert max_edge_disjoint_negative_cycles(g) == want
+    want2 = want if len(want) <= 2 else _first(
+        itertools.combinations(cycles, 2), _disjoint)
+    assert max_edge_disjoint_negative_cycles(g, stop_at=2) == want2
+
+
+@given(signed_graphs(max_n=5, max_m=8))
+@example(_loop)
+@example(_bridge)
+@example(build_graph([]))  # edgeless: the empty family is its double cover
+@settings(max_examples=100, deadline=None)
+def test_double_cover_is_the_first_family_covering_each_edge_twice(g):
+    cycles = _sorted_negative_cycles(g)
+    k = frustration_index(g).index
+    twice = sorted(list(range(g.m)) * 2)
+
+    def covers(fam):
+        return sorted(e for c in fam for e in c.edge_ids) == twice
+
+    assert negative_cycle_double_cover(g, k) == _first(
+        itertools.combinations_with_replacement(cycles, 2 * k), covers)
+    assert negative_cycle_double_cover(g, k, distinct_only=True) == _first(
+        itertools.combinations(cycles, 2 * k), covers)
