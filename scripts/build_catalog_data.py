@@ -3,7 +3,8 @@
 
 Each entry's edge list is written out literally; rotations for the planar
 entries are computed here once (planarity via networkx on a simple-graph
-expansion) and then shipped as static data.  Every expected property is
+expansion) and then shipped as static data; networkx comes with the `dev`
+extra and is not a dependency of the package.  Every expected property is
 re-verified before anything is written, so a bad transcription fails this
 script instead of landing in the data directory.
 """
@@ -12,16 +13,57 @@ import json
 import pathlib
 import sys
 
+import networkx as nx
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from signforge.constructions import (_rotation_from_networkx, ghat,
-                                     ghat_planar)
+from signforge.constructions import ghat, ghat_planar
 from signforge.core import build_graph, serialize_sg
-from signforge.planar import serialize_rot
+from signforge.errors import PreconditionError
+from signforge.planar import RotationSystem, serialize_rot, validate_rotation
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/signforge/data"
 
 NEG, POS = "-", "+"
+
+
+def _rotation_from_networkx(g):
+    """Planar rotation for a loopless signed multigraph, via a simple-graph
+    planarity test on a copy with parallel edges subdivided."""
+    aux = nx.Graph()
+    aux.add_nodes_from(g.vertices)
+    # (vertex, aux-neighbor) -> real edge id
+    dartmap = {}
+    seen_pairs = set()
+    for e in g.edges:
+        if e.is_loop:
+            raise PreconditionError("loops not supported here")
+        pair = frozenset((e.u, e.v))
+        if pair not in seen_pairs:
+            seen_pairs.add(pair)
+            aux.add_edge(e.u, e.v)
+            dartmap[(e.u, e.v)] = e.eid
+            dartmap[(e.v, e.u)] = e.eid
+        else:
+            mid = ("sub", e.eid)
+            aux.add_edge(e.u, mid)
+            aux.add_edge(mid, e.v)
+            dartmap[(e.u, mid)] = e.eid
+            dartmap[(e.v, mid)] = e.eid
+    ok, emb = nx.check_planarity(aux)
+    if not ok:
+        raise PreconditionError("graph is not planar")
+    rotation = {}
+    for v in g.vertices:
+        ring = []
+        for nb in emb.neighbors_cw_order(v):
+            eid = dartmap[(v, nb)]
+            e = g.edges[eid]
+            ring.append((eid, 0 if v == e.u else 1))
+        rotation[v] = tuple(ring)
+    rot = RotationSystem(rotation)
+    validate_rotation(g, rot)
+    return rot
 
 
 def cyc(vs, sign=POS):

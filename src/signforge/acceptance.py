@@ -22,9 +22,10 @@ from .criticality import METHODS, is_critical
 from .cycles import (is_double_cover, max_edge_disjoint_negative_cycles,
                      negative_cycle_double_cover, negative_cycles)
 from .enumeration import EnumBounds, enumerate_critical
-from .errors import NotACycleError
-from .frustration import frustration_by_cover, frustration_index
-from .planar import faces
+from .errors import EmbeddingError, NotACycleError
+from .frustration import (frustration_by_cover, frustration_index,
+                          minimum_signature_switch)
+from .planar import dart_vertex, faces
 from .structure import (find_decompositions, find_k4_minus_subdivision,
                         is_decomposable, is_irreducible, subdivide)
 
@@ -64,9 +65,7 @@ def _face_cycles(g: SignedGraph, rot) -> Optional[tuple]:
     """Facial walks as Cycle values, or None if some walk is not simple."""
     out = []
     for f in faces(g, rot):
-        vseq = tuple(
-            (g.edges[eid].u if end == 0 else g.edges[eid].v)
-            for eid, end in f.darts)
+        vseq = tuple(dart_vertex(g, d) for d in f.darts)
         c = Cycle(f.edge_ids, vseq + (vseq[0],))
         try:
             validate_cycle(g, c)
@@ -168,7 +167,7 @@ def crit_7_join() -> tuple:
     members += [(n, 3) for n in catalog.entries_with_tag("L3-extra")]
 
     def neg_edge(g):
-        gmin = switch(g, frustration_index(g).switch_set)
+        gmin = minimum_signature_switch(g)
         return gmin, min(gmin.negative_edge_ids)
 
     checked, skipped, bad = [], [], []
@@ -213,8 +212,8 @@ def crit_8_ladder() -> tuple:
     for t in range(1, 4):
         g, rot, cuts = ghat_planar(t)
         try:
-            fs = faces(g, rot)  # Euler enforced inside
-        except Exception as exc:
+            faces(g, rot)  # Euler enforced inside
+        except EmbeddingError as exc:
             bad.append(f"ghat_planar({t}): {exc}")
             continue
         if not is_critical(g, 3):

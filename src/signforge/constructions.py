@@ -5,14 +5,13 @@ ghat(t) is a 4-regular graph on x, y, z, w and 2t interior vertices with
 exactly three negative edges (one x-w copy and both y-z copies).  It is
 critically 3-frustrated, irreducible, and decomposes into three negative
 cycles.  ghat_planar(t) resolves the single drawing crossing with a new
-degree-4 vertex s, giving a planar member of the same class.
+degree-4 vertex s, giving a planar member of the same class; its rotation
+is read off that drawing, not found by a planarity test.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
-
-import networkx as nx
 
 from .core import NEG, POS, SignedGraph, build_graph
 from .errors import PreconditionError
@@ -64,40 +63,33 @@ def ghat_decomposition_cycles(t: int) -> tuple:
     )
 
 
-def _rotation_from_networkx(g: SignedGraph) -> RotationSystem:
-    """Planar rotation for a loopless signed multigraph, via a simple-graph
-    planarity test on a copy with parallel edges subdivided."""
-    aux = nx.Graph()
-    aux.add_nodes_from(g.vertices)
-    # (vertex, aux-neighbor) -> real edge id
-    dartmap = {}
-    seen_pairs = set()
+def _ladder_rotation(g: SignedGraph, t: int) -> RotationSystem:
+    """The planar rotation of ghat_planar(t), read off its drawing.
+
+    x, a1..at, w run right to left along the top row and y, b1..bt, z
+    right to left along the bottom row; s sits where at-z and bt-w used to
+    cross.  x-w arcs above the rows and the two y-z copies nest below
+    them, so the copies meet y and z in opposite order.
+    """
+    top = ["x"] + [f"a{i}" for i in range(1, t + 1)] + ["w"]
+    bottom = ["y"] + [f"b{i}" for i in range(1, t + 1)] + ["s"]
+    # clockwise neighbour orders; top[-1] is w, reached from x over the arc
+    ring = {"y": ["x", "z", "z", "b1"], "w": ["x", top[t], "s", "z"],
+            "z": ["w", "s", "y", "y"], "s": ["w", top[t], bottom[t], "z"]}
+    for i in range(t + 1):
+        ring[top[i]] = [top[i - 1], bottom[i], bottom[i + 1], top[i + 1]]
+    for i in range(1, t + 1):
+        ring[bottom[i]] = [bottom[i + 1], top[i], top[i - 1], bottom[i - 1]]
+    ids = {}
     for e in g.edges:
-        if e.is_loop:
-            raise PreconditionError("loops not supported here")
-        pair = frozenset((e.u, e.v))
-        if pair not in seen_pairs:
-            seen_pairs.add(pair)
-            aux.add_edge(e.u, e.v)
-            dartmap[(e.u, e.v)] = e.eid
-            dartmap[(e.v, e.u)] = e.eid
-        else:
-            mid = ("sub", e.eid)
-            aux.add_edge(e.u, mid)
-            aux.add_edge(mid, e.v)
-            dartmap[(e.u, mid)] = e.eid
-            dartmap[(e.v, mid)] = e.eid
-    ok, emb = nx.check_planarity(aux)
-    if not ok:
-        raise PreconditionError("graph is not planar")
+        ids.setdefault((e.u, e.v), []).append(e.eid)
+        ids.setdefault((e.v, e.u), []).append(e.eid)
+    ids["z", "y"].reverse()  # z meets the nested y-z copies inner first
     rotation = {}
-    for v in g.vertices:
-        ring = []
-        for nb in emb.neighbors_cw_order(v):
-            eid = dartmap[(v, nb)]
-            e = g.edges[eid]
-            ring.append((eid, 0 if v == e.u else 1))
-        rotation[v] = tuple(ring)
+    for v, nbrs in ring.items():
+        pending = {u: iter(ids[v, u]) for u in nbrs}
+        rotation[v] = tuple((eid, 0 if g.edges[eid].u == v else 1)
+                            for eid in (next(pending[u]) for u in nbrs))
     rot = RotationSystem(rotation)
     validate_rotation(g, rot)
     return rot
@@ -122,7 +114,7 @@ def ghat_planar(t: int) -> Tuple[SignedGraph, RotationSystem, tuple]:
     edge_list += [(bt, "s", POS), ("s", "w", POS),
                   (at, "s", POS), ("s", "z", POS)]
     g = build_graph(edge_list, isolated=base.vertices)
-    rot = _rotation_from_networkx(g)
+    rot = _ladder_rotation(g, t)
     witness_cuts = (frozenset(("w", "z")), frozenset(("w", "z", "s")))
     return g, rot, witness_cuts
 

@@ -3,9 +3,10 @@
 An embedding is given as a rotation system: for each vertex, the clockwise
 cyclic order of its incident edge-ends (darts).  Faces come out of the
 standard traversal (the next dart of a face is the rotation successor of
-the current dart's twin).  Embeddings are shipped data, never computed;
-well-formedness plus the Euler count is the whole acceptance bar for
-planarity claims.
+the current dart's twin).  No embedding is computed by a planarity test:
+the catalog's rotations are shipped data, and ghat_planar's is read off
+its drawing.  Well-formedness plus the Euler count is the whole acceptance
+bar for planarity claims.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import NEG, SignedGraph, switch
+from .core import NEG, SignedGraph
 from .errors import EmbeddingError, PreconditionError, TheoremViolation
-from .frustration import frustration_index
+from .frustration import minimum_signature_switch
 
 # a dart is (edge id, end); end 0 = the 'a' end (edge.u), end 1 = 'b' (edge.v)
 _DART_RE = re.compile(r"^e(\d+)\.([ab])$")
@@ -150,7 +151,7 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
             raise PreconditionError(f"graph is not critically {k}-frustrated")
     fs = faces(g, rot, planar=True)
     neg_faces = sum(1 for f in fs if f.sign(g) == NEG)
-    gmin = switch(g, frustration_index(g).switch_set)
+    gmin = minimum_signature_switch(g)
     one_each = all(f.negative_edge_count(gmin) == 1 for f in fs)
     report = PlanarCriticalReport(
         k=k,

@@ -1,12 +1,18 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+from signforge import catalog
 from signforge.constructions import ghat, ghat_decomposition_cycles, ghat_planar, h_join
 from signforge.core import build_graph, cut, cycle_sign, switching_isomorphic
 from signforge.criticality import METHODS, is_critical
 from signforge.cycles import has_two_edge_disjoint_negative_cycles, packing_number
 from signforge.errors import PreconditionError
 from signforge.frustration import frustration_index
-from signforge.planar import verify_planar_critical
+from signforge.planar import faces, verify_planar_critical
 from signforge.structure import is_decomposable, is_irreducible
 
 
@@ -77,6 +83,24 @@ def test_planarized_ladder_cuts_and_faces():
         rep = verify_planar_critical(g, rot, 3, check_critical=False)
         assert rep.face_count == 2 * t + 7
         assert rep.negative_bound_ok and not rep.all_faces_negative
+    for t in range(1, 7):
+        g, rot, _ = ghat_planar(t)
+        fs = faces(g, rot)
+        assert len(fs) == 2 * t + 7 == g.m - g.n + 2
+        if t <= 3:  # the shipped rotations of the catalog entries
+            assert fs == faces(g, catalog.get(f"ladder-planar-{t}").rotation)
+
+
+def test_package_imports_without_networkx():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, signforge, signforge.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('networkx')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_planarized_ladder_requires_t_at_least_1():
@@ -113,5 +137,4 @@ def test_join_rejects_loop_designated_edge():
 
 
 def test_ladder_0_matches_catalog_entry():
-    from signforge import catalog
     assert switching_isomorphic(ghat(0), catalog.get("ladder-0").graph) is not None
