@@ -17,10 +17,12 @@ import networkx as nx
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from signforge import catalog
 from signforge.constructions import ghat, ghat_planar
-from signforge.core import build_graph, serialize_sg
+from signforge.core import build_graph, parse_sg, serialize_sg
 from signforge.errors import PreconditionError
-from signforge.planar import RotationSystem, serialize_rot, validate_rotation
+from signforge.planar import (RotationSystem, parse_rot, serialize_rot,
+                              validate_rotation)
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/signforge/data"
 
@@ -251,7 +253,7 @@ ENTRIES += [
 
 
 def main():
-    DATA.mkdir(exist_ok=True)
+    files = {}  # file name -> text, written only once every entry verified
     manifest = []
     for name, desc, payload, want_rot, expected, tags in ENTRIES:
         if isinstance(payload, tuple):
@@ -259,20 +261,23 @@ def main():
         else:
             g = payload
             rot = _rotation_from_networkx(g) if want_rot else None
-        (DATA / f"{name}.sg").write_text(serialize_sg(g))
         rec = {"name": name, "description": desc, "sg": f"{name}.sg",
                "rot": None, "expected": expected, "tags": tags}
+        files[rec["sg"]] = serialize_sg(g)
         if rot is not None:
-            (DATA / f"{name}.rot").write_text(serialize_rot(g, rot))
             rec["rot"] = f"{name}.rot"
+            files[rec["rot"]] = serialize_rot(g, rot)
+            rot = parse_rot(files[rec["rot"]])
+        # verify what will be written: the records re-read from their text
+        got = catalog.verify_record(name, parse_sg(files[rec["sg"]]), rot,
+                                    expected)
+        print(f"  ok {name}: {got}")
         manifest.append(rec)
-    (DATA / "catalog.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    files["catalog.json"] = json.dumps(manifest, indent=1) + "\n"
+    DATA.mkdir(exist_ok=True)
+    for fname, text in files.items():
+        (DATA / fname).write_text(text)
     print(f"wrote {len(manifest)} entries to {DATA}")
-
-    from signforge import catalog
-    for rec in manifest:
-        got = catalog.verify(rec["name"])
-        print(f"  ok {rec['name']}: {got}")
 
 
 if __name__ == "__main__":

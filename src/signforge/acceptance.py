@@ -218,6 +218,8 @@ def crit_8_ladder() -> tuple:
             continue
         if not is_critical(g, 3):
             bad.append(f"ghat_planar({t}) not critical")
+        if not all(cut(g, side).equilibrated for side in cuts):
+            bad.append(f"ghat_planar({t}) witness cut not equilibrated")
     return not bad, "; ".join(bad) or "t=0..4 and planar t=1..3 verified"
 
 

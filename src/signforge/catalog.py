@@ -69,8 +69,13 @@ def get(name: str) -> CatalogEntry:
 def verify(name: str) -> dict:
     """Recompute all expected properties of one entry; raise on mismatch."""
     entry = get(name)
-    exp = entry.expected
-    g = entry.graph
+    return verify_record(name, entry.graph, entry.rotation, entry.expected)
+
+
+def verify_record(name: str, g: SignedGraph,
+                  rotation: Optional[RotationSystem], exp: dict) -> dict:
+    """Recompute the expected record exp for graph g (faces from rotation,
+    if given); raise CatalogMismatch, naming name, on any difference."""
     got: dict = {}
 
     got["ell"] = frustration_index(g).index
@@ -83,8 +88,8 @@ def verify(name: str) -> dict:
     else:
         got["in_s_star"] = False
 
-    if entry.rotation is not None:
-        report = verify_planar_critical(g, entry.rotation, k,
+    if rotation is not None:
+        report = verify_planar_critical(g, rotation, k,
                                         check_critical=False)
         profile = {}
         pexp = exp.get("planar_face_profile", {})

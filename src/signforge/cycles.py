@@ -1,17 +1,21 @@
 """Cycle enumeration and negative-cycle covering/packing.
 
 All cycles here are simple: loops (length 1), parallel pairs (length 2)
-and longer vertex-disjoint circuits.  Enumeration is DFS from each start
-vertex using only later vertices, deduplicated by edge set, with a hard
-cap.  The minimum cover, the maximum packing and the double cover are
-one exact search, `_least_family`, for the lexicographically least
-family of options (edges or cycles, as bitmasks) that hits every item
-(cycles or edges) between a lower and an upper number of times; each
-returns that search's deterministic, lex-least witness.
+and longer vertex-disjoint circuits.  Enumeration is a DFS from each
+cycle's least vertex through later vertices only, which emits each cycle
+once, in its lex-smaller direction, with a hard cap.  The minimum cover,
+the maximum packing and the double cover are one exact search,
+`_least_family`, for the lexicographically least family of options
+(edges or cycles, as bitmasks) that hits every item (cycles or edges)
+between a lower and an upper number of times; each returns that search's
+deterministic, lex-least witness.  When every item must be hit exactly
+lo == hi times (the double cover), the search branches only on the block
+of options whose lowest item is the lowest item still short.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from . import guards
@@ -19,87 +23,61 @@ from .core import NEG, Cycle, SignedGraph, cycle_sign
 from .errors import CycleCapExceeded, PreconditionError
 
 
-def _canonical_cycle(g: SignedGraph, eids: tuple, vseq: tuple) -> Cycle:
-    """Fix the traversal direction: keep the lex-smaller edge-id tuple."""
-    k = len(eids)
-    if k <= 2:
-        return Cycle(tuple(sorted(eids)), vseq if k == 1 else vseq)
-    rev_e = tuple(reversed(eids))
-    if rev_e < eids:
-        return Cycle(rev_e, tuple(reversed(vseq)))
-    return Cycle(eids, vseq)
-
-
 def enumerate_cycles(g: SignedGraph, cap: int = None,
                      negative_only: bool = False) -> tuple:
-    """All simple cycles of g, sorted by (length, edge-id tuple).
+    """All simple cycles of g (only the negative ones with negative_only),
+    sorted by (length, edge-id tuple).
 
-    Raises CycleCapExceeded past the cap (default guards.CYCLE_CAP),
-    unless the guard override is active.
+    A DFS walks each cycle from its least vertex, through later vertices
+    only, once in each direction, and emits it once: in the direction
+    whose first edge id is below its closing edge id, which is the
+    lex-smaller edge-id tuple of the two (a parallel pair comes out
+    sorted).  The walk carries the parity of its negative edges.  Raises
+    CycleCapExceeded once more than the cap (default guards.CYCLE_CAP)
+    cycles exist, positive ones counted too, unless the guard override
+    is active.
     """
-    if negative_only:
-        return _negative(g, enumerate_cycles(g, cap))
     limit = guards.CYCLE_CAP if cap is None else cap
-    order = {v: i for i, v in enumerate(g.vertices)}
-    seen = set()
-    out = []
+    neg = g.negative_mask
+    index = g.vindex
+    # per vertex index: (edge id, other end, its index, negative bit)
+    adj = [[(eid, o, index[o], neg >> eid & 1) for eid in g.incidence[v]
+            for o in (g.edges[eid].other(v),)] for v in g.vertices]
+    on_path = [False] * g.n
+    path_v, path_e, out = [], [], []
+    count = 0
 
-    def emit(eids, vseq):
-        key = frozenset(eids)
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(_canonical_cycle(g, tuple(eids), tuple(vseq)))
-        if len(out) > limit and not guards.override_active():
-            raise CycleCapExceeded(
-                f"more than {limit} cycles; raise the cap or override")
-
-    for eid in sorted(g.loop_edge_ids):
-        e = g.edges[eid]
-        emit((eid,), (e.u, e.u))
-
-    for start in g.vertices:
-        s = order[start]
-        # path state: vertex sequence and edge-id sequence from start
-        path_v = [start]
-        path_e = []
-        on_path = {start}
-
-        def dfs(v):
-            for eid in g.incidence[v]:
-                e = g.edges[eid]
-                if e.is_loop or eid in path_e:
-                    continue
-                o = e.other(v)
-                if o == start and len(path_e) >= 1:
-                    emit(path_e + [eid], path_v + [start])
-                    continue
-                if o in on_path or order[o] <= s:
-                    continue
+    def dfs(i, s, odd):
+        nonlocal count
+        for eid, o, j, bit in adj[i]:
+            if j == s:  # a closing edge, or a loop at s on the empty path
+                if not path_e or path_e[0] < eid:
+                    count += 1
+                    if count > limit and not guards.override_active():
+                        raise CycleCapExceeded(f"more than {limit} cycles; "
+                                               "raise the cap or override")
+                    if odd ^ bit or not negative_only:
+                        out.append(Cycle(tuple(path_e) + (eid,),
+                                         tuple(path_v) + (o,)))
+            elif j > s and not on_path[j]:
+                on_path[j] = True
                 path_v.append(o)
                 path_e.append(eid)
-                on_path.add(o)
-                dfs(o)
-                on_path.discard(o)
+                dfs(j, s, odd ^ bit)
                 path_e.pop()
                 path_v.pop()
+                on_path[j] = False
 
-        dfs(start)
-
+    for s, start in enumerate(g.vertices):
+        path_v.append(start)
+        dfs(s, s, 0)
+        path_v.pop()
     out.sort(key=lambda c: (len(c), c.edge_ids))
     return tuple(out)
 
 
-def _negative(g: SignedGraph, cycles: tuple) -> tuple:
-    """The negative members of cycles the enumerator built (so already
-    valid): those with an odd number of edges in g's negative mask."""
-    neg = g.negative_mask
-    return tuple(c for c in cycles
-                 if sum(neg >> eid & 1 for eid in c.edge_ids) & 1)
-
-
 def negative_cycles(g: SignedGraph, cap: int = None) -> tuple:
-    return _negative(g, enumerate_cycles(g, cap))
+    return enumerate_cycles(g, cap, negative_only=True)
 
 
 # -- the family search behind cover, packing and double cover ----------------
@@ -118,6 +96,13 @@ def _least_family(options: list, universe: int, size: int, lo: int,
     still short of lo is hit by no option from here on, or when the
     picks left cannot supply the missing hits or cannot fit under hi;
     failed states are remembered.
+
+    When lo == hi the options must come sorted by lowest item (checked;
+    the double cover's sorted edge-id tuples are).  Then every item below
+    the lowest short item e0 is full, so the next pick comes from e0's
+    block of options: earlier ones hit a full item, and later ones miss
+    e0 for good.  The loop starts at that block, and the failure memo
+    keys the state by the block's start.
     """
     n = len(options)
     beyond = [0] * (n + 1)  # beyond[i]: the items options[i:] hit
@@ -127,6 +112,10 @@ def _least_family(options: list, universe: int, size: int, lo: int,
     shortest = min((o.bit_count() for o in options), default=0)
     u = universe.bit_count()
     deep = 2 in (lo, hi)  # whether "hit twice" must be tracked
+    lows = [o & -o for o in options]  # each option's lowest item, as a bit
+    block = lo == hi
+    if block and lows != sorted(lows):
+        raise PreconditionError("options not sorted by lowest item")
     dead = set()
 
     def step(start, uses, left, once, twice):
@@ -139,10 +128,14 @@ def _least_family(options: list, universe: int, size: int, lo: int,
             return None
         if not left:
             return ()
+        short = universe & ~(universe, once, twice)[lo]  # items below lo
+        if block:  # skip to the lowest short item's block
+            first = bisect_left(lows, short & -short)
+            if first > start:
+                start, uses = first, 0
         key = (start, uses, left, once, twice)
         if key in dead:
             return None
-        short = universe & ~(universe, once, twice)[lo]  # items below lo
         full = (once, twice)[hi - 1] if hi else 0  # items at hi
         for j in range(start, n):
             if short & ~beyond[j] or (n - j) * repeat < left:
@@ -172,8 +165,7 @@ def _sorted_negative_cycles(g: SignedGraph, cap: Optional[int]) -> list:
                   key=lambda c: tuple(sorted(c.edge_ids)))
 
 
-def min_negative_cycle_cover(g: SignedGraph, cap: int = None
-                             ) -> tuple:
+def min_negative_cycle_cover(g: SignedGraph, cap: int = None) -> tuple:
     """Smallest edge set meeting every negative cycle, lex-least witness.
 
     Returns a sorted tuple of edge ids: the family search over the edges

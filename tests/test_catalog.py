@@ -58,3 +58,33 @@ def test_expected_records_have_core_keys():
         for key in ("ell", "critical", "irreducible",
                     "decomposable", "in_s_star"):
             assert key in exp, (name, key)
+
+
+def _build_script():
+    import importlib.util
+    import pathlib
+    pytest.importorskip("networkx")  # the script's planarity test
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / \
+        "build_catalog_data.py"
+    spec = importlib.util.spec_from_file_location("build_catalog_data", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_script_verifies_before_it_writes(monkeypatch, tmp_path):
+    build = _build_script()
+    picked = [e for e in build.ENTRIES if e[0] in ("c-minus-1", "k4-minus-all")]
+    monkeypatch.setattr(build, "DATA", tmp_path)
+    # a wrong record on the last entry: nothing may be written at all
+    name, desc, payload, want_rot, expected, tags = picked[-1]
+    wrong = (name, desc, payload, want_rot, {**expected, "ell": 3}, tags)
+    monkeypatch.setattr(build, "ENTRIES", picked[:-1] + [wrong])
+    with pytest.raises(CatalogMismatch):
+        build.main()
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(build, "ENTRIES", picked)
+    build.main()
+    for name in ("c-minus-1.sg", "k4-minus-all.sg", "k4-minus-all.rot"):
+        assert (tmp_path / name).read_text() == \
+            (catalog._data_root() / name).read_text()

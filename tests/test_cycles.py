@@ -3,15 +3,16 @@ import itertools
 import pytest
 from hypothesis import example, given, settings
 
-from signforge.core import Cycle, NEG, build_graph
-from signforge.cycles import (enumerate_cycles, has_two_edge_disjoint_negative_cycles,
+from signforge.core import Cycle, NEG, build_graph, validate_cycle
+from signforge.cycles import (_least_family, enumerate_cycles,
+                              has_two_edge_disjoint_negative_cycles,
                               is_double_cover, is_leq2_cover,
                               max_edge_disjoint_negative_cycles,
                               min_negative_cycle_cover, negative_cycle_double_cover,
                               negative_cycles, packing_number)
 from signforge.errors import CycleCapExceeded, PreconditionError
 from signforge.frustration import frustration_index
-from signforge.constructions import ghat
+from signforge.constructions import ghat, ghat_planar
 from strategies import signed_graphs
 
 
@@ -102,6 +103,12 @@ def test_overfull_family_is_not_leq2():
     assert not is_leq2_cover(g, [c, c, c])
 
 
+def test_exact_hits_need_options_sorted_by_lowest_item():
+    with pytest.raises(PreconditionError):
+        _least_family([0b10, 0b01], 0b11, 2, 1, 1, 1)  # lo == hi
+    assert _least_family([0b10, 0b01], 0b11, 1, 0, 1, 1) == (0,)
+
+
 def test_cycle_cap_is_enforced(monkeypatch):
     import signforge.guards as guards
     monkeypatch.setattr(guards, "CYCLE_CAP", 3)
@@ -110,6 +117,64 @@ def test_cycle_cap_is_enforced(monkeypatch):
         enumerate_cycles(g)
     monkeypatch.setenv("SIGNFORGE_GUARD_OVERRIDE", "1")
     assert len(enumerate_cycles(g)) == 7
+
+
+_loop = build_graph([(0, 0, NEG)])  # its only double cover repeats the loop
+_bridge = build_graph([(0, 0, NEG), (0, 1, "+")])  # edge 1 on no negative cycle
+
+
+# -- brute-force oracle for the enumerator ---------------------------------------
+
+def _walks(g, eids):
+    """The two closed walks around the cycle on edge set eids (one for a
+    loop), from its least vertex, as Cycle values."""
+    index = g.vindex
+    start = min((v for e in eids for v in (g.edges[e].u, g.edges[e].v)),
+                key=index.__getitem__)
+    out = []
+    for first in (e for e in eids if start in (g.edges[e].u, g.edges[e].v)):
+        es, vs = [first], [start, g.edges[first].other(start)]
+        while vs[-1] != start:
+            es.append(next(e for e in eids if e not in es
+                           and vs[-1] in (g.edges[e].u, g.edges[e].v)))
+            vs.append(g.edges[es[-1]].other(vs[-1]))
+        out.append(Cycle(tuple(es), tuple(vs)))
+    return out
+
+
+def _is_cycle(g, eids):
+    """Connected and 2-regular, a loop counting 2: so a single loop is one."""
+    ends = [v for e in eids for v in (g.edges[e].u, g.edges[e].v)]
+    if any(ends.count(v) != 2 for v in ends):
+        return False
+    reach, grew = {ends[0]}, True
+    while grew:
+        grew = False
+        for e in eids:
+            u, v = g.edges[e].u, g.edges[e].v
+            if (u in reach) != (v in reach):
+                reach |= {u, v}
+                grew = True
+    return reach == set(ends)
+
+
+@given(signed_graphs(max_n=5, max_m=8))
+@example(build_graph([(0, 1, "+"), (0, 1, "-"), (1, 0, "+")]))  # triple bundle
+@example(_loop)
+@settings(max_examples=100, deadline=None)
+def test_enumerator_equals_brute_force_over_edge_subsets(g):
+    cycles = [c for size in range(1, g.m + 1)
+              for es in itertools.combinations(range(g.m), size)
+              if _is_cycle(g, es)
+              for c in [min(_walks(g, es), key=lambda c: c.edge_ids)]]
+    want = sorted(cycles, key=lambda c: (len(c), c.edge_ids))
+    neg = [c for c in want
+           if sum(g.edges[e].sign == NEG for e in c.edge_ids) % 2]
+    got = enumerate_cycles(g)
+    assert got == tuple(want)
+    assert enumerate_cycles(g, negative_only=True) == tuple(neg)
+    for c in got:
+        validate_cycle(g, c)
 
 
 # -- brute-force oracles for the one family search -------------------------------
@@ -135,10 +200,6 @@ def _first_by_size(sizes, families, ok):
 def _disjoint(fam):
     return sum(len(c.edge_ids) for c in fam) == len(
         set().union(*(c.edge_set for c in fam)))
-
-
-_loop = build_graph([(0, 0, NEG)])  # its only double cover repeats the loop
-_bridge = build_graph([(0, 0, NEG), (0, 1, "+")])  # edge 1 on no negative cycle
 
 
 @given(signed_graphs(max_n=5, max_m=8))
@@ -175,6 +236,9 @@ def test_packing_is_the_first_disjoint_family_largest_size_first(g):
 @example(_loop)
 @example(_bridge)
 @example(build_graph([]))  # edgeless: the empty family is its double cover
+# its witness repeats the first option of a block the search skips to
+@example(build_graph([(1, 2, "-"), (0, 1, "+"), (0, 1, "-"), (2, 0, "+"),
+                      (0, 0, "-"), (2, 2, "-"), (2, 1, "+")]))
 @settings(max_examples=100, deadline=None)
 def test_double_cover_is_the_first_family_covering_each_edge_twice(g):
     cycles = _sorted_negative_cycles(g)
@@ -188,3 +252,31 @@ def test_double_cover_is_the_first_family_covering_each_edge_twice(g):
         itertools.combinations_with_replacement(cycles, 2 * k), covers)
     assert negative_cycle_double_cover(g, k, distinct_only=True) == _first(
         itertools.combinations(cycles, 2 * k), covers)
+
+
+# Witnesses of the search before its block rule, where that rule skips the
+# most: each family as its cycles' edge-id tuples.
+_PINNED_DOUBLE_COVERS = {
+    ("ghat_planar(2)", False): [
+        (0, 3, 1, 13, 6, 5), (0, 3, 1, 13, 6, 5), (2, 15, 16, 12, 8, 9),
+        (2, 15, 16, 12, 8, 9), (4, 17, 14, 11, 10, 7), (4, 17, 14, 11, 10, 7)],
+    ("ghat_planar(2)", True): [
+        (0, 3, 1, 13, 6, 5), (0, 3, 1, 15, 16, 6, 5), (2, 13, 12, 8, 9),
+        (2, 15, 14, 8, 9), (4, 17, 16, 12, 11, 10, 7), (4, 17, 14, 11, 10, 7)],
+    ("ghat(3)", False): [
+        (0, 3, 1, 19, 7, 6, 5), (0, 3, 1, 19, 7, 6, 5), (2, 12, 11, 10, 13),
+        (2, 12, 11, 10, 13), (4, 8, 18, 17, 16, 15, 14, 9),
+        (4, 8, 18, 17, 16, 15, 14, 9)],
+    ("ghat(3)", True): [
+        (0, 3, 1, 19, 7, 6, 5), (0, 3, 1, 12, 17, 6, 5), (2, 19, 7, 16, 10, 13),
+        (2, 12, 11, 10, 13), (4, 8, 18, 11, 15, 14, 9),
+        (4, 8, 18, 17, 16, 15, 14, 9)],
+}
+
+
+@pytest.mark.parametrize("label,distinct", sorted(_PINNED_DOUBLE_COVERS))
+def test_pinned_double_cover_witnesses(label, distinct):
+    g = ghat_planar(2)[0] if label == "ghat_planar(2)" else ghat(3)
+    dc = negative_cycle_double_cover(g, 3, distinct_only=distinct)
+    assert [c.edge_ids for c in dc] == _PINNED_DOUBLE_COVERS[label, distinct]
+    assert is_double_cover(g, dc)
