@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from . import catalog as catalog_mod
-from .acceptance import run_all, run_one
+from .acceptance import CRITERIA, run_all, run_one
 from .constructions import ghat, ghat_planar, h_join
 from .core import SignedGraph, parse_sg, serialize_sg, switch
 from .criticality import METHODS, certify
@@ -130,15 +130,15 @@ def _cmd_faces(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.what == "hjoin":
-        g = h_join(_load(args.args[0]), int(args.args[1]),
-                   _load(args.args[2]), int(args.args[3]))
+        g = h_join(_load(args.graph1), args.edge1,
+                   _load(args.graph2), args.edge2)
         out = args.out or "hjoin.sg"
         pathlib.Path(out).write_text(serialize_sg(g))
         _emit(args, {"command": "construct", "kind": "hjoin",
                      "vertices": g.n, "edges": g.m, "out": out},
               f"wrote {out} ({g.n} vertices, {g.m} edges)")
         return EXIT_OK
-    t = int(args.args[0])
+    t = args.t
     if args.planar:
         g, rot, cuts = ghat_planar(t)
         base = args.out or f"ladder-planar-{t}"
@@ -221,7 +221,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    results = [run_one(args.only)] if args.only else list(run_all())
+    results = list(run_all()) if args.only is None else [run_one(args.only)]
     ok = all(r.passed for r in results)
     width = max(len(r.name) for r in results)
     lines = [f"{r.number:>2}  {'PASS' if r.passed else 'FAIL'}  "
@@ -281,8 +281,15 @@ def build_parser() -> _Parser:
                     help="also run the planar-critical report")
 
     sp = add("construct", _cmd_construct, help="builders: hjoin, ladder")
-    sp.add_argument("what", choices=["hjoin", "ladder"])
-    sp.add_argument("args", nargs="+")
+    kinds = sp.add_subparsers(dest="what", required=True)
+    sp = kinds.add_parser("hjoin")
+    sp.add_argument("graph1")
+    sp.add_argument("edge1", type=int)
+    sp.add_argument("graph2")
+    sp.add_argument("edge2", type=int)
+    sp.add_argument("-o", "--out", default=None)
+    sp = kinds.add_parser("ladder")
+    sp.add_argument("t", type=int)
     sp.add_argument("--planar", action="store_true")
     sp.add_argument("-o", "--out", default=None)
 
@@ -304,7 +311,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default="enumerated")
 
     sp = add("reproduce", _cmd_reproduce, help="run the acceptance suite")
-    sp.add_argument("--only", type=int, default=None)
+    sp.add_argument("--only", type=int, default=None,
+                    choices=[num for num, _, _ in CRITERIA])
 
     return p
 
@@ -326,7 +334,7 @@ def run(argv=None) -> int:
     except SignforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -129,6 +129,10 @@ def h_join(g1: SignedGraph, eid1: int, g2: SignedGraph, eid2: int
     are critically k1- and k2-frustrated members of the irreducible
     non-decomposable class, the join lands in the class for k1 + k2 - 1.
     """
+    for name, g, eid in (("first", g1, eid1), ("second", g2, eid2)):
+        if not 0 <= eid < g.m:
+            raise PreconditionError(f"{name} designated edge {eid} is not "
+                                    f"an edge id (0..{g.m - 1})")
     e1, e2 = g1.edges[eid1], g2.edges[eid2]
     for name, e in (("first", e1), ("second", e2)):
         if e.sign != NEG:

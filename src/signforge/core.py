@@ -8,10 +8,9 @@ switching, so cuts and cycles stay addressable across switchings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import guards
 from .errors import NotACycleError, ParseError, UnknownVertexError
@@ -355,7 +354,10 @@ def balancing_switch_set(g: SignedGraph) -> Optional[frozenset]:
     return frozenset(v for v, p in pot.items() if p == NEG)
 
 
-# -- switching isomorphism ------------------------------------------------------
+# -- switching isomorphism and canonical form: one search ---------------------
+#
+# Both read the individualization-refinement tree of `_labellings` (McKay &
+# Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
 
 @dataclass(frozen=True)
 class IsoWitness:
@@ -363,185 +365,172 @@ class IsoWitness:
     switch_set: frozenset
 
 
-def _loop_signature(g: SignedGraph, v: Vertex) -> tuple:
-    negs = sum(1 for e in g.incidence[v]
-               if g.edges[e].is_loop and g.edges[e].sign == NEG)
-    poss = sum(1 for e in g.incidence[v]
-               if g.edges[e].is_loop and g.edges[e].sign == POS)
-    return negs, poss
+def _leaf_key(n: int, loops: list, bundles: list, perm: list) -> tuple:
+    """The key of the graph relabelled by perm (vertex index -> position)
+    and switched to read least, and that switching as a parity per
+    position.
 
-
-def _bundle_compatible(m1: tuple, m2: tuple) -> bool:
-    # bundle profiles (mult, neg): a switching flips neg -> mult - neg
-    mult1, neg1 = m1
-    mult2, neg2 = m2
-    return mult1 == mult2 and neg2 in (neg1, mult1 - neg1)
-
-
-def _resolve_switch_set(g1: SignedGraph, g2: SignedGraph,
-                        mapping: dict) -> Optional[frozenset]:
-    """Find a switch set T of g2 with switch(map(g1), T) == g2, if any."""
-    parity = {}
-    adj = {v: [] for v in g2.vertices}
-    for pair, ids in g1.bundles.items():
-        if len(pair) == 1:
-            (v,) = pair
-            if _loop_signature(g1, v) != _loop_signature(g2, mapping[v]):
-                return None
-            continue
-        a, b = tuple(pair)
-        mult, neg1 = g1.bundle_profile(pair)
-        pair2 = frozenset((mapping[a], mapping[b]))
-        mult2, neg2 = g2.bundle_profile(pair2)
-        if mult != mult2:
-            return None
-        need_flip = None
-        if neg2 == neg1 and neg2 == mult - neg1:
-            need_flip = None  # self-complementary bundle, unconstrained
-        elif neg2 == neg1:
-            need_flip = 0
-        elif neg2 == mult - neg1:
-            need_flip = 1
-        else:
-            return None
-        if need_flip is not None:
-            x, y = mapping[a], mapping[b]
-            adj[x].append((y, need_flip))
-            adj[y].append((x, need_flip))
-    for root in g2.vertices:
-        if root in parity:
-            continue
-        parity[root] = 0
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            for o, flip in adj[w]:
-                want = parity[w] ^ flip
-                if o not in parity:
-                    parity[o] = want
-                    stack.append(o)
-                elif parity[o] != want:
-                    return None
-    return frozenset(v for v, p in parity.items() if p == 1)
-
-
-def switching_isomorphic(g1: SignedGraph, g2: SignedGraph,
-                         max_vertices: int = None) -> Optional[IsoWitness]:
-    """Vertex bijection + switching mapping g1 onto g2, or None.
-
-    Truthy result is the witness.  Backtracking over degree-compatible
-    vertex assignments with bundle pruning; guarded by vertex count.
-    """
-    limit = guards.ISO_SEARCH_MAX_VERTICES if max_vertices is None else max_vertices
-    guards.check(max(g1.n, g2.n), limit, "switching-isomorphism search")
-    if g1.n != g2.n or g1.m != g2.m:
-        return None
-    if sorted(g1.degree(v) for v in g1.vertices) != sorted(
-            g2.degree(v) for v in g2.vertices):
-        return None
-
-    # order g1 vertices to keep the search frontier connected where possible
-    order = sorted(g1.vertices, key=lambda v: (-g1.degree(v), str(v)))
-    mapping: dict = {}
-    used: set = set()
-
-    def feasible(v1, v2) -> bool:
-        if g1.degree(v1) != g2.degree(v2):
-            return False
-        if _loop_signature(g1, v1) != _loop_signature(g2, v2):
-            return False
-        for w1 in g1.neighbors(v1) | {v1}:
-            if w1 in mapping or w1 == v1:
-                w2 = v2 if w1 == v1 else mapping[w1]
-                p1 = g1.bundle_profile(frozenset((v1, w1)))
-                p2 = g2.bundle_profile(frozenset((v2, w2)))
-                if not _bundle_compatible(p1, p2):
-                    return False
-        # mapped vertices not adjacent to v1 must not be adjacent to v2
-        for w1, w2 in mapping.items():
-            if w1 not in g1.neighbors(v1) and w2 in g2.neighbors(v2):
-                return False
-        return True
-
-    def backtrack(i: int) -> Optional[IsoWitness]:
-        if i == len(order):
-            t = _resolve_switch_set(g1, g2, mapping)
-            if t is None:
-                return None
-            return IsoWitness(dict(mapping), t)
-        v1 = order[i]
-        for v2 in g2.vertices:
-            if v2 in used or not feasible(v1, v2):
-                continue
-            mapping[v1] = v2
-            used.add(v2)
-            found = backtrack(i + 1)
-            if found is not None:
-                return found
-            del mapping[v1]
-            used.discard(v2)
-        return None
-
-    return backtrack(0)
-
-
-# -- canonical form (brute force, enumeration scale) ---------------------------
-
-def canonical_form(g: SignedGraph, max_vertices: int = 7) -> tuple:
-    """Lexicographic minimum encoding over all (permutation, switching) pairs.
-
-    Equal keys iff switching-isomorphic.  Brute force over the n!
-    permutations; intended for the enumeration module's scale.  The
-    switchings are not scanned: the edge part is sorted by vertex pair,
-    and a bundle reads smallest with the most negative edges, so the
+    The switchings are not scanned: the edge part is sorted by vertex
+    pair, and a bundle reads smallest with the most negative edges, so the
     pairs are taken in order and each gets the switching parity that
     leaves its majority negative, unless the earlier pairs already fix
     that parity.  A bundle with as many negative as positive edges reads
-    the same either way and fixes nothing.  A permutation whose loop part
-    already exceeds the best key's is skipped (the loop part is compared
-    before the edges).
+    the same either way and fixes nothing.
     """
-    guards.check(g.n, max_vertices, "canonical form brute force")
+    loop_key = tuple(sorted((perm[v], s) for v, s in loops))
+    # comp/par: the parity classes fixed so far, as component labels
+    # and each vertex's parity relative to its component
+    comp = list(range(n))
+    par = [0] * n
+    enc = []
+    for a, b, pos, neg in sorted(
+            (min(perm[u], perm[v]), max(perm[u], perm[v]), pos, neg)
+            for u, v, pos, neg in bundles):
+        if comp[a] == comp[b]:
+            flip = par[a] ^ par[b]
+        else:
+            flip = pos > neg
+            if pos != neg:
+                ca, cb = comp[a], comp[b]
+                delta = par[a] ^ par[b] ^ flip
+                for x in range(n):
+                    if comp[x] == cb:
+                        comp[x] = ca
+                        par[x] ^= delta
+        if flip:
+            pos, neg = neg, pos
+        enc += [(a, b, NEG)] * neg + [(a, b, POS)] * pos
+    return (n, loop_key, tuple(enc)), par
+
+
+def _labellings(g: SignedGraph, target: tuple = None) -> Iterator[tuple]:
+    """Yield (key, order, parity, path) for each leaf of g's
+    individualization-refinement tree, depth first.
+
+    A node is an ordered partition of the vertex indices.  The root splits
+    them by loop signature.  Refinement splits each cell by the sorted
+    (neighbour's cell, bundle profile up to flip) pairs of its vertices,
+    (multiplicity, min(negative, positive)), until no cell splits; the new
+    cells follow the order of those signatures.  Nothing it reads changes
+    under switching or depends on labels, so a switching isomorphism maps
+    tree onto tree.  A node branches on its first cell of several
+    vertices by taking each vertex out in front, one per class of exact
+    twins (equal bundles to every other vertex, which makes swapping them
+    an automorphism; vertices of one cell share their loops).  A leaf's
+    partition is discrete: order[p] is the vertex index at position p, and
+    `_leaf_key` gives the key and the parity of each position.  path is
+    the trace of every node from the root, each the signatures of its
+    cells; with a target path, a node whose trace differs from the
+    target's at its depth is cut.
+    """
     n = g.n
     idx = g.vindex
     loops = [(idx[e.u], e.sign) for e in g.edges if e.is_loop]
-    counts: dict = {}  # vertex pair -> [positive, negative] edges
+    exact = [{} for _ in range(n)]  # neighbour -> [positive, negative]
     for e in g.edges:
-        if not e.is_loop:
-            counts.setdefault(frozenset((idx[e.u], idx[e.v])),
-                              [0, 0])[e.sign == NEG] += 1
-    bundles = [(*pair, pos, neg) for pair, (pos, neg) in counts.items()]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        loop_key = tuple(sorted((perm[v], s) for v, s in loops))
-        if best is not None and loop_key > best[1]:
-            continue
-        # comp/par: the parity classes fixed so far, as component labels
-        # and each vertex's parity relative to its component
-        comp = list(range(n))
-        par = [0] * n
-        enc = []
-        for a, b, pos, neg in sorted(
-                (min(perm[u], perm[v]), max(perm[u], perm[v]), pos, neg)
-                for u, v, pos, neg in bundles):
-            if comp[a] == comp[b]:
-                flip = par[a] ^ par[b]
-            else:
-                flip = pos > neg
-                if pos != neg:
-                    ca, cb = comp[a], comp[b]
-                    delta = par[a] ^ par[b] ^ flip
-                    for x in range(n):
-                        if comp[x] == cb:
-                            comp[x] = ca
-                            par[x] ^= delta
-            if flip:
-                pos, neg = neg, pos
-            enc += [(a, b, NEG)] * neg + [(a, b, POS)] * pos
-        key = (n, loop_key, tuple(enc))
-        if best is None or key < best:
-            best = key
-    return best
+        a, b = idx[e.u], idx[e.v]
+        if a != b:  # both ends share the one count
+            exact[b][a] = exact[a].setdefault(b, [0, 0])
+            exact[a][b][e.sign == NEG] += 1
+    bundles = [(a, b, pos, neg) for a in range(n)
+               for b, (pos, neg) in exact[a].items() if a < b]
+    flipless = [[(w, (pos + neg, min(pos, neg)))  # profiles up to flip
+                 for w, (pos, neg) in exact[v].items()] for v in range(n)]
+
+    def others(v, u):  # v's bundles, the one to u left out
+        return {w: b for w, b in exact[v].items() if w != u}
+
+    rep = list(range(n))  # each vertex's least exact twin
+    for v in range(n):
+        rep[v] = next((u for u in range(v)
+                       if rep[u] == u and others(u, v) == others(v, u)), v)
+    ring_sigs = [tuple(sorted(s for u, s in loops if u == v))
+                 for v in range(n)]
+
+    def refine(cells):
+        while True:
+            where = [0] * n
+            for i, cell in enumerate(cells):
+                for v in cell:
+                    where[v] = i
+            split, trace = [], []
+            for cell in cells:
+                groups: dict = {}
+                for v in cell:
+                    groups.setdefault(tuple(sorted(
+                        (where[w], p) for w, p in flipless[v])), []).append(v)
+                for sig in sorted(groups):
+                    split.append(groups[sig])
+                    trace.append(sig)
+            if len(split) == len(cells):
+                return cells, tuple(trace)
+            cells = split
+
+    def search(cells, path):
+        cells, trace = refine(cells)
+        if target is not None and trace != target[len(path)]:
+            return
+        path += (trace,)
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            order = [cell[0] for cell in cells]
+            perm = [0] * n
+            for p, v in enumerate(order):
+                perm[v] = p
+            key, parity = _leaf_key(n, loops, bundles, perm)
+            yield key, order, parity, path
+            return
+        tried = set()
+        for v in cells[i]:
+            if rep[v] not in tried:
+                tried.add(rep[v])
+                rest = [w for w in cells[i] if w != v]
+                yield from search(cells[:i] + [[v], rest] + cells[i + 1:],
+                                  path)
+
+    yield from search([[v for v in range(n) if ring_sigs[v] == sig]
+                       for sig in sorted(set(ring_sigs))], ())
+
+
+def switching_isomorphic(g1: SignedGraph,
+                         g2: SignedGraph) -> Optional[IsoWitness]:
+    """Vertex bijection + switching mapping g1 onto g2, or None.
+
+    Truthy result is the witness: g1 relabelled by its mapping and then
+    switched at its switch set (vertices of g2) is g2.  Takes g2's first
+    leaf of `_labellings` and walks g1's tree along the nodes whose traces
+    equal that leaf's path; the first g1 leaf with the same key maps
+    position to position, and the switch set is where the two leaf
+    parities differ.  Guarded by vertex count.
+    """
+    guards.check(max(g1.n, g2.n), guards.ISO_SEARCH_MAX_VERTICES,
+                 "switching-isomorphism search")
+    if g1.n != g2.n or g1.m != g2.m:
+        return None
+    key, order2, par2, path = next(_labellings(g2))
+    for key1, order1, par1, _ in _labellings(g1, path):
+        if key1 == key:
+            return IsoWitness(
+                {g1.vertices[a]: g2.vertices[b]
+                 for a, b in zip(order1, order2)},
+                frozenset(g2.vertices[b]
+                          for b, p, q in zip(order2, par1, par2) if p != q))
+    return None
+
+
+def canonical_form(g: SignedGraph) -> tuple:
+    """The least leaf key of `_labellings`, (n, loop part, edge part).
+
+    Equal keys iff switching-isomorphic, and `from_canonical_form` rebuilds
+    the graph the key encodes.  The key is the least over the leaves of the
+    individualization-refinement search, not over all n! permutations, so
+    it is a canonical label only for this search; the labels of the
+    representatives built from it follow the search too.  Guarded by
+    guards.CANONICAL_FORM_MAX_VERTICES.
+    """
+    guards.check(g.n, guards.CANONICAL_FORM_MAX_VERTICES,
+                 "canonical form search")
+    return min(key for key, *_ in _labellings(g))
 
 
 def from_canonical_form(key: tuple) -> SignedGraph:

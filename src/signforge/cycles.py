@@ -23,8 +23,7 @@ from .core import NEG, Cycle, SignedGraph, cycle_sign
 from .errors import CycleCapExceeded, PreconditionError
 
 
-def enumerate_cycles(g: SignedGraph, cap: int = None,
-                     negative_only: bool = False) -> tuple:
+def enumerate_cycles(g: SignedGraph, negative_only: bool = False) -> tuple:
     """All simple cycles of g (only the negative ones with negative_only),
     sorted by (length, edge-id tuple).
 
@@ -33,11 +32,10 @@ def enumerate_cycles(g: SignedGraph, cap: int = None,
     whose first edge id is below its closing edge id, which is the
     lex-smaller edge-id tuple of the two (a parallel pair comes out
     sorted).  The walk carries the parity of its negative edges.  Raises
-    CycleCapExceeded once more than the cap (default guards.CYCLE_CAP)
-    cycles exist, positive ones counted too, unless the guard override
-    is active.
+    CycleCapExceeded once more than guards.CYCLE_CAP cycles exist,
+    positive ones counted too, unless the guard override is active.
     """
-    limit = guards.CYCLE_CAP if cap is None else cap
+    limit = guards.CYCLE_CAP
     neg = g.negative_mask
     index = g.vindex
     # per vertex index: (edge id, other end, its index, negative bit)
@@ -76,8 +74,8 @@ def enumerate_cycles(g: SignedGraph, cap: int = None,
     return tuple(out)
 
 
-def negative_cycles(g: SignedGraph, cap: int = None) -> tuple:
-    return enumerate_cycles(g, cap, negative_only=True)
+def negative_cycles(g: SignedGraph) -> tuple:
+    return enumerate_cycles(g, negative_only=True)
 
 
 # -- the family search behind cover, packing and double cover ----------------
@@ -158,14 +156,14 @@ def _edge_mask(c: Cycle) -> int:
     return sum(1 << eid for eid in c.edge_ids)
 
 
-def _sorted_negative_cycles(g: SignedGraph, cap: Optional[int]) -> list:
+def _sorted_negative_cycles(g: SignedGraph) -> list:
     """The negative cycles of g ordered by sorted edge-id tuple, the order
     in which packings and double covers are lex-least."""
-    return sorted(negative_cycles(g, cap),
+    return sorted(negative_cycles(g),
                   key=lambda c: tuple(sorted(c.edge_ids)))
 
 
-def min_negative_cycle_cover(g: SignedGraph, cap: int = None) -> tuple:
+def min_negative_cycle_cover(g: SignedGraph) -> tuple:
     """Smallest edge set meeting every negative cycle, lex-least witness.
 
     Returns a sorted tuple of edge ids: the family search over the edges
@@ -174,7 +172,7 @@ def min_negative_cycle_cover(g: SignedGraph, cap: int = None) -> tuple:
     characterization this has the same size as the frustration index;
     the two are cross-checked in the oracle tests, not here.
     """
-    cycles = [c.edge_set for c in negative_cycles(g, cap)]
+    cycles = [c.edge_set for c in negative_cycles(g)]
     pool = sorted(frozenset().union(*cycles))
     options = [sum(1 << i for i, c in enumerate(cycles) if eid in c)
                for eid in pool]
@@ -185,7 +183,7 @@ def min_negative_cycle_cover(g: SignedGraph, cap: int = None) -> tuple:
             return tuple(pool[i] for i in found)
 
 
-def max_edge_disjoint_negative_cycles(g: SignedGraph, cap: int = None,
+def max_edge_disjoint_negative_cycles(g: SignedGraph,
                                       stop_at: int = None) -> tuple:
     """Largest family of pairwise edge-disjoint negative cycles.
 
@@ -196,7 +194,7 @@ def max_edge_disjoint_negative_cycles(g: SignedGraph, cap: int = None,
     soon as that many disjoint cycles are found, and the returned family
     is the lex-least with exactly stop_at members.
     """
-    cycles = _sorted_negative_cycles(g, cap)
+    cycles = _sorted_negative_cycles(g)
     options = [_edge_mask(c) for c in cycles]
     family = ()
     while len(family) != stop_at:
@@ -208,16 +206,15 @@ def max_edge_disjoint_negative_cycles(g: SignedGraph, cap: int = None,
     return tuple(cycles[i] for i in family)
 
 
-def packing_number(g: SignedGraph, cap: int = None) -> int:
-    return len(max_edge_disjoint_negative_cycles(g, cap))
+def packing_number(g: SignedGraph) -> int:
+    return len(max_edge_disjoint_negative_cycles(g))
 
 
-def has_two_edge_disjoint_negative_cycles(g: SignedGraph,
-                                          cap: int = None) -> bool:
-    return len(max_edge_disjoint_negative_cycles(g, cap, stop_at=2)) >= 2
+def has_two_edge_disjoint_negative_cycles(g: SignedGraph) -> bool:
+    return len(max_edge_disjoint_negative_cycles(g, stop_at=2)) >= 2
 
 
-def negative_cycle_double_cover(g: SignedGraph, k: int, cap: int = None,
+def negative_cycle_double_cover(g: SignedGraph, k: int,
                                 distinct_only: bool = False
                                 ) -> Optional[tuple]:
     """A family of exactly 2k negative cycles covering every edge twice.
@@ -234,7 +231,7 @@ def negative_cycle_double_cover(g: SignedGraph, k: int, cap: int = None,
     if frustration_index(g).index != k:
         raise PreconditionError(
             f"k={k} is not the frustration index of the graph")
-    cycles = _sorted_negative_cycles(g, cap)
+    cycles = _sorted_negative_cycles(g)
     found = _least_family([_edge_mask(c) for c in cycles], (1 << g.m) - 1,
                           2 * k, 2, 2, 1 if distinct_only else 2)
     return None if found is None else tuple(cycles[i] for i in found)

@@ -5,7 +5,10 @@ Raw candidates are assignments of (multiplicity, negative count) to each
 vertex pair plus a negative-loop count per vertex.  Positive loops are
 excluded (they affect nothing studied here), as are isolated vertices, so
 vertex count is a class invariant.  One representative per switching-
-isomorphism class survives a brute-force canonical-form filter.
+isomorphism class survives a canonical-form filter (`core.canonical_form`,
+an individualization-refinement search); the representative is rebuilt
+from its key, so its vertex labels follow that search, while the classes
+and their order follow the first raw candidate of each.
 
 The critical-graph filter runs on the raw integer encoding before any
 deduplication, through the switching kernel of `frustration`: each pair

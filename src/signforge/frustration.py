@@ -93,15 +93,11 @@ def _switch_set(free: list, mask: int) -> frozenset:
     return frozenset(v for i, v in enumerate(free) if mask >> i & 1)
 
 
-def _limit(max_vertices) -> int:
-    return guards.SWITCH_SEARCH_MAX_VERTICES if max_vertices is None else max_vertices
-
-
-def _component_scans(g: SignedGraph, max_vertices: int = None) -> list:
+def _component_scans(g: SignedGraph) -> list:
     """`_scan` of every component, in component order, under the switching
     guard; the scan is exponential in the largest component only."""
     guards.check(max(map(len, g.components), default=0),
-                 _limit(max_vertices), "switching search")
+                 guards.SWITCH_SEARCH_MAX_VERTICES, "switching search")
     return [_scan(g, comp) for comp in g.components]
 
 
@@ -109,7 +105,7 @@ def _loop_baseline(g: SignedGraph) -> int:
     return sum(1 for eid in g.loop_edge_ids if g.edges[eid].sign == NEG)
 
 
-def frustration_index(g: SignedGraph, max_vertices: int = None) -> FrustrationResult:
+def frustration_index(g: SignedGraph) -> FrustrationResult:
     """Minimum negative-edge count over all switchings, with a witness.
 
     Ties are broken, per component and with its anchor unswitched,
@@ -119,7 +115,7 @@ def frustration_index(g: SignedGraph, max_vertices: int = None) -> FrustrationRe
     """
     total = _loop_baseline(g)
     full = frozenset()
-    for free, best, masks, _ in _component_scans(g, max_vertices):
+    for free, best, masks, _ in _component_scans(g):
         total += best
         names = [str(v) for v in free]
         least = min(masks, key=lambda m: sorted(
@@ -128,15 +124,15 @@ def frustration_index(g: SignedGraph, max_vertices: int = None) -> FrustrationRe
     return FrustrationResult(total, full, switch(g, full).negative_edge_ids)
 
 
-def all_minimum_signatures(g: SignedGraph,
-                           max_vertices: int = None) -> tuple:
+def all_minimum_signatures(g: SignedGraph) -> tuple:
     """Every distinct minimum negative-edge set, as sorted eid tuples.
 
     Returned sorted lexicographically.  Distinct switch sets can induce
     the same negative edge set; duplicates are collapsed.
     """
     # the answer is a product over the components, so g.n bounds it
-    guards.check(g.n, _limit(max_vertices), "minimum-signature enumeration")
+    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
+                 "minimum-signature enumeration")
     return _signatures(g, [_scan(g, comp) for comp in g.components])
 
 
@@ -151,22 +147,21 @@ def _signatures(g: SignedGraph, scans: list) -> tuple:
     return tuple(sorted(out))
 
 
-def minimum_signature_switch(g: SignedGraph,
-                             max_vertices: int = None) -> SignedGraph:
+def minimum_signature_switch(g: SignedGraph) -> SignedGraph:
     """g switched into a minimum signature (the frustration_index witness)."""
-    return switch(g, frustration_index(g, max_vertices).switch_set)
+    return switch(g, frustration_index(g).switch_set)
 
 
-def is_minimum_signature(g: SignedGraph, max_vertices: int = None) -> bool:
+def is_minimum_signature(g: SignedGraph) -> bool:
     """True iff g already realizes its frustration index."""
-    return len(g.negative_edge_ids) == frustration_index(g, max_vertices).index
+    return len(g.negative_edge_ids) == frustration_index(g).index
 
 
-def frustration_by_cover(g: SignedGraph, cap: int = None) -> int:
+def frustration_by_cover(g: SignedGraph) -> int:
     """Independent oracle: size of a minimum negative-cycle cover.
 
     Equals the frustration index (a minimum signature is a cover, and a
     minimal cover is the negative set of some minimum signature).
     """
     from .cycles import min_negative_cycle_cover
-    return len(min_negative_cycle_cover(g, cap))
+    return len(min_negative_cycle_cover(g))

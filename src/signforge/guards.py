@@ -13,6 +13,7 @@ from .errors import GuardExceeded
 # Defaults, tuned to the catalog scale.
 SWITCH_SEARCH_MAX_VERTICES = 24
 ISO_SEARCH_MAX_VERTICES = 12
+CANONICAL_FORM_MAX_VERTICES = 7
 CYCLE_CAP = 100_000
 QUADRUPLE_SEARCH_MAX_VERTICES = 13
 QUADRUPLE_SEARCH_MAX_EDGES = 24

@@ -138,19 +138,17 @@ def _iter_k4_minus_subdivisions(g: SignedGraph,
             yield K4MinusSubdivision(quad, system)
 
 
-def find_k4_minus_subdivision(g: SignedGraph,
-                              max_vertices: int = None,
-                              max_edges: int = None
+def find_k4_minus_subdivision(g: SignedGraph
                               ) -> Optional[K4MinusSubdivision]:
     """First all-negative-K4 subdivision in deterministic order, or None.
 
     Order: branch quadruples ascending by vertex index; within a
     quadruple, paths grown with ascending edge ids.
     """
-    nv = guards.QUADRUPLE_SEARCH_MAX_VERTICES if max_vertices is None else max_vertices
-    ne = guards.QUADRUPLE_SEARCH_MAX_EDGES if max_edges is None else max_edges
-    guards.check(g.n, nv, "quadruple search (vertices)")
-    guards.check(g.m, ne, "quadruple search (edges)")
+    guards.check(g.n, guards.QUADRUPLE_SEARCH_MAX_VERTICES,
+                 "quadruple search (vertices)")
+    guards.check(g.m, guards.QUADRUPLE_SEARCH_MAX_EDGES,
+                 "quadruple search (edges)")
     return next(_iter_k4_minus_subdivisions(g), None)
 
 

@@ -129,3 +129,31 @@ def test_reproduce_json_output(capsys):
     (row,) = doc["criteria"]
     assert set(row) == {"number", "name", "passed", "seconds", "detail"}
     assert row["number"] == 1 and row["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "ladder", "abc"],
+    ["construct", "hjoin", "{k4}", "x", "{k4}", "0"],
+    ["construct", "hjoin", "{k4}", "0"],
+    ["construct", "ladder", "1", "2"],
+    ["frustration", "{dir}"],
+    ["frustration", "{binary}"],
+    ["reproduce", "--only", "99"],
+])
+def test_bad_arguments_and_unreadable_files_exit_64(argv, tmp_path, k4_path,
+                                                    capsys):
+    binary = tmp_path / "binary.sg"
+    binary.write_bytes(b"0 1 \xff\n")
+    argv = [a.format(k4=k4_path, dir=tmp_path, binary=binary) for a in argv]
+    assert invoke(argv) == 64
+    err = capsys.readouterr().err
+    assert "error:" in err.strip().splitlines()[-1]
+
+
+def test_hjoin_edge_id_out_of_range_exits_2(tmp_path, k4_path, capsys):
+    out = tmp_path / "j.sg"
+    for eid in ("6", "-1"):
+        assert run(["construct", "hjoin", k4_path, "0", k4_path, eid,
+                    "-o", str(out)]) == 2
+        assert "designated edge" in capsys.readouterr().err
+    assert not out.exists()

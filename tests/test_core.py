@@ -1,12 +1,15 @@
 import itertools
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signforge.core import (NEG, POS, Cycle, build_graph, canonical_form,
-                            cut, cycle_sign, is_balanced, parse_sg,
-                            serialize_sg, switch, switching_isomorphic)
+                            cut, cycle_sign, from_canonical_form, is_balanced,
+                            parse_sg, serialize_sg, switch,
+                            switching_isomorphic)
 from signforge.errors import NotACycleError, ParseError
 
 from strategies import signed_graphs, vertex_subsets
@@ -170,10 +173,73 @@ def loopy_multigraphs(draw):
     return build_graph(edges, isolated=range(n))
 
 
-@given(loopy_multigraphs())
-@example(build_graph([(0, 1, POS), (1, 2, POS), (2, 0, NEG)]))  # no loops
-@example(build_graph([(0, 0, NEG), (1, 1, NEG), (0, 1, POS), (1, 2, NEG),
-                      (1, 2, NEG), (2, 0, POS)]))  # ties on the loop part
+@st.composite
+def loopy_pairs(draw):
+    """A loopy multigraph and, half the time, a relabelled and switched
+    copy of it; otherwise such a copy with one edge's sign flipped, or an
+    unrelated graph."""
+    g = draw(loopy_multigraphs())
+    kind = draw(st.sampled_from(("copy", "copy", "flipped", "other")))
+    if kind == "other":
+        return g, draw(loopy_multigraphs())
+    edges = [(e.u, e.v, e.sign) for e in g.edges]
+    if kind == "flipped" and edges:
+        i = draw(st.integers(0, len(edges) - 1))
+        edges[i] = (*edges[i][:2], -edges[i][2])
+    side = draw(vertex_subsets(g))
+    label = dict(zip(g.vertices, draw(st.permutations(g.vertices))))
+    return g, build_graph(
+        [(label[u], label[v], -s if (u in side) != (v in side) else s)
+         for u, v, s in draw(st.permutations(edges))],
+        isolated=[label[v] for v in g.vertices])
+
+
+def applies(w, g, h):
+    """Whether mapping g by w and switching at w's set gives h."""
+    image = switch(build_graph([(w.mapping[e.u], w.mapping[e.v], e.sign)
+                                for e in g.edges],
+                               isolated=[w.mapping[v] for v in g.vertices]),
+                   w.switch_set)
+    return (set(image.vertices) == set(h.vertices) and
+            Counter((e.pair, e.sign) for e in image.edges) ==
+            Counter((e.pair, e.sign) for e in h.edges))
+
+
+@given(loopy_pairs())
+@example((triangle("++-"), triangle("--+")))  # no loops
+@example((build_graph([(0, 0, NEG), (1, 1, NEG), (0, 1, POS), (1, 2, NEG),
+                       (1, 2, NEG), (2, 0, POS)]),
+          build_graph([(0, 0, NEG), (2, 2, NEG), (0, 2, POS), (2, 1, NEG),
+                       (2, 1, NEG), (1, 0, POS)])))  # ties on the loop part
 @settings(max_examples=150, deadline=None)
-def test_canonical_form_matches_unpruned_brute_force(g):
-    assert canonical_form(g) == brute_force_canonical_form(g)
+def test_canonical_form_matches_unpruned_brute_force(pair):
+    """The keys are the least over the search's leaves, not the n!
+    minimum, so they agree with the brute force on which graphs are
+    switching-isomorphic, not key for key."""
+    g1, g2 = pair
+    same = brute_force_canonical_form(g1) == brute_force_canonical_form(g2)
+    assert (canonical_form(g1) == canonical_form(g2)) == same
+    w = switching_isomorphic(g1, g2)
+    assert (w is not None) == same
+    assert w is None or applies(w, g1, g2)
+    rep = from_canonical_form(canonical_form(g1))
+    assert applies(switching_isomorphic(g1, rep), g1, rep)
+
+
+def test_isomorphism_search_does_not_hang_on_isolated_vertices():
+    # the 9 isolated vertices are exact twins, so the search tries one of
+    # them per level instead of walking their 9! orders
+    plus, minus = (build_graph([(0, 1, POS), (1, 2, POS), (2, 0, sign)],
+                               isolated=range(12)) for sign in (POS, NEG))
+    start = time.perf_counter()
+    assert switching_isomorphic(plus, minus) is None
+    assert time.perf_counter() - start < 1
+
+
+def test_canonical_form_of_symmetric_7_vertex_graphs():
+    pairs = list(itertools.combinations(range(7), 2))
+    start = time.perf_counter()
+    assert canonical_form(build_graph([(a, b, NEG) for a, b in pairs])) == (
+        7, (), tuple((a, b, NEG) for a, b in pairs))
+    assert canonical_form(build_graph([], isolated=range(7))) == (7, (), ())
+    assert time.perf_counter() - start < 1
