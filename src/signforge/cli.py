@@ -74,7 +74,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     g = _load(args.graph)
-    ds = find_decompositions(g, args.k, parts_connected=args.connected)
+    ds = find_decompositions(g, args.k)
     _emit(args,
           {"command": "decompose",
            "decompositions": [d.to_json() for d in ds]},
@@ -263,8 +263,6 @@ def build_parser() -> _Parser:
              help="partitions into critical parts")
     sp.add_argument("graph")
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--connected", action="store_true",
-                    help="require connected parts")
 
     sp = add("reduce", _cmd_reduce, help="suppress to an irreducible graph")
     sp.add_argument("graph")

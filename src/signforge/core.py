@@ -92,9 +92,6 @@ class SignedGraph:
             if not self.edges[e].is_loop
         )
 
-    def distinct_neighbor_count(self, v: Vertex) -> int:
-        return len(self.neighbors(v))
-
     def max_degree(self) -> int:
         return max((self.degree(v) for v in self.vertices), default=0)
 
@@ -188,11 +185,6 @@ class SignedGraph:
         for e in self.edges:
             out.setdefault(e.pair, []).append(e.eid)
         return out
-
-    def bundle_profile(self, pair: frozenset) -> tuple:
-        """(multiplicity, negative count) of the parallel class at pair."""
-        ids = self.bundles.get(pair, [])
-        return len(ids), sum(1 for i in ids if self.edges[i].sign == NEG)
 
 
 def build_graph(edge_list: Sequence, isolated: Sequence = ()) -> SignedGraph:

@@ -133,7 +133,7 @@ def all_minimum_signatures(g: SignedGraph) -> tuple:
     # the answer is a product over the components, so g.n bounds it
     guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
                  "minimum-signature enumeration")
-    return _signatures(g, [_scan(g, comp) for comp in g.components])
+    return _signatures(g, _component_scans(g))
 
 
 def _signatures(g: SignedGraph, scans: list) -> tuple:

@@ -17,6 +17,8 @@ CANONICAL_FORM_MAX_VERTICES = 7
 CYCLE_CAP = 100_000
 QUADRUPLE_SEARCH_MAX_VERTICES = 13
 QUADRUPLE_SEARCH_MAX_EDGES = 24
+# edges searched for decomposition parts of index >= 3; only a budget of
+# 5 or more reaches that subset search
 PARTITION_SEARCH_MAX_EDGES = 20
 ENUM_MAX_VERTICES = 5
 ENUM_MAX_EDGES = 10

@@ -5,25 +5,27 @@ The decomposition search partitions the edge set into parts that are
 themselves critically frustrated, with the part indices summing to the
 whole.  Parts are required to be non-decomposable, which pins down their
 shape for small indices: a non-decomposable critically-1 part is a
-negative cycle, a non-decomposable critically-2 part is an all-negative-K4
-subdivision (K4-), and at total index <= 4 at most one part of index >= 3
-can occur (its partner is then a single negative cycle).  That makes the
-bounded search complete through total index 4; larger indices fall back to
-a guarded exponential subset search.
+negative cycle, and a non-decomposable critically-2 part is an
+all-negative-K4 subdivision (K4-).  An edge on no negative cycle lies in
+no critical part, so such an edge (a positive loop, say) leaves no
+partition.  A negative loop is always a part on its own: a critical part
+of index >= 2 minus one of its negative loops is critical again, one
+index lower, so a non-decomposable part of index >= 2 has no loop.  The
+loops are set aside first.
 
-Through index 4 the search takes, at each node, the part containing the
-lowest open edge e0 with a budget b left.  A negative-cycle part is
-branched on; a K4- part is not searched for, by the complement rule: it
-is everything that remains minus the parts after it, whose budgets sum to
-b - 2, and a linear test (`_k4_minus_edge_set`) decides whether an edge
-set is a K4- subdivision.  So b = 2 tests what remains, b = 3 tests what
-remains minus each negative cycle avoiding e0, and b = 4, which occurs
-only at the root of k = 4, tests the complement of each pair of disjoint
-negative cycles avoiding e0 and of each K4- subdivision containing e0.
-That is the one place subdivisions are enumerated, and only when the
-degrees leave the two K4- parts exactly 8 branch vertices between them.
-Also at k = 4, a part of index 3 next to one negative cycle is checked
-directly.
+One recursion serves every index.  At each node it takes the part
+holding the lowest open edge e0, with a budget b of index left.  Either
+that part is a negative cycle through e0, and is branched on, or it has
+index j >= 2 and is the last part taken: everything that remains minus a
+family F of later parts, which avoid e0 and have indices summing to
+b - j.  F is drawn, once per unordered family, from three sources: the
+negative cycles (index 1), the K4- subdivisions (index 2) and, only
+when b >= 5, a guarded subset search for non-decomposable critical parts
+of index >= 3.  The last part is then tested, not searched for: by a
+linear test (`_k4_minus_edge_set`) at j = 2, and by a criticality check
+and a recursive decomposition search at j >= 3.  The other parts of a
+partition avoid its part through e0, so they are exactly such an F; the
+search is complete at every index and emits each partition once.
 """
 
 from __future__ import annotations
@@ -372,13 +374,6 @@ def _normalize(parts) -> Decomposition:
     return Decomposition(tuple(sorted(parts, key=lambda p: (p[1], sorted(p[0])))))
 
 
-def _branch_slots(g: SignedGraph) -> int:
-    """Branch vertices two edge-disjoint K4- parts covering g would have:
-    a vertex of degree 3 or 5 is a branch vertex of one part, a vertex of
-    degree 6 of both; a partition into two such parts needs exactly 8."""
-    return sum({3: 1, 5: 1, 6: 2}.get(g.degree(v), 0) for v in g.vertices)
-
-
 def _is_nondecomposable_critical(g: SignedGraph, part: frozenset, k: int) -> bool:
     from .criticality import is_critical
 
@@ -388,135 +383,127 @@ def _is_nondecomposable_critical(g: SignedGraph, part: frozenset, k: int) -> boo
         True for _ in _decomposition_stream(sub, k))
 
 
-def _decomposition_stream(g: SignedGraph, k: int) -> Iterator[Decomposition]:
-    """All partitions into non-decomposable critical parts (t >= 2 parts)."""
+def _large_parts(g: SignedGraph, edges: frozenset, top: int,
+                 cycles: list) -> list:
+    """Non-decomposable critical edge sets of index 3..top inside edges,
+    by subset search, sorted by (index, edge ids).  cycles lists the
+    negative cycles of g."""
+    guards.check(len(edges), guards.PARTITION_SEARCH_MAX_EDGES,
+                 "partition search")
+    ids = sorted(edges)
+    bit = {e: 1 << i for i, e in enumerate(ids)}
+    masks = [sum(map(bit.__getitem__, c)) for c in cycles if c <= edges]
+    out = []
+    for s in range(1, 1 << len(ids)):
+        # every edge of a critical part lies on a negative cycle inside it
+        cover = 0
+        for c in masks:
+            if not c & ~s:
+                cover |= c
+        if cover != s:
+            continue
+        es = frozenset(e for e in ids if bit[e] & s)
+        j = frustration_index(g.restrict(es)).index
+        if 3 <= j <= top and _is_nondecomposable_critical(g, es, j):
+            out.append((es, j))
+    return sorted(out, key=lambda p: (p[1], sorted(p[0])))
+
+
+def _families(members: list, room: int) -> Iterator[tuple]:
+    """Every family of pairwise disjoint members whose indices sum to at
+    most room, once each and in list order: (union, index sum, family).
+    members are (edge set, index) pairs sorted by index."""
+    def grow(start: int, used: frozenset, total: int, chosen: tuple):
+        yield used, total, chosen
+        for i in range(start, len(members)):
+            es, j = members[i]
+            if total + j > room:
+                break
+            if not es & used:
+                yield from grow(i + 1, used | es, total + j,
+                                chosen + ((es, j),))
+
+    return grow(0, frozenset(), 0, ())
+
+
+def _decomposition_stream(g: SignedGraph, k: Optional[int]
+                          ) -> Iterator[Decomposition]:
+    """All partitions into non-decomposable critical parts (t >= 2 parts),
+    each once; k defaults to the frustration index."""
+    if k is None:
+        k = frustration_index(g).index
     if k < 2 or g.m == 0:
         return
-    all_edges = frozenset(range(g.m))
     neg_sets = [c.edge_set for c in negative_cycles(g)]
     cycles_by_edge: dict = {}
     for cyc in neg_sets:
         for eid in cyc:
             cycles_by_edge.setdefault(eid, []).append(cyc)
-    seen: set = set()
+    if len(cycles_by_edge) < g.m:
+        return  # an edge on no negative cycle lies in no critical part
+    # every loop is now negative, and a part on its own
+    loops = tuple((frozenset((e,)), 1) for e in sorted(g.loop_edge_ids))
+    rest = frozenset(range(g.m)) - g.loop_edge_ids
+    sources: dict = {}
 
-    def emit(parts) -> Iterator[Decomposition]:
-        d = _normalize(parts)
-        key = frozenset(d.parts)
-        if key not in seen:
-            seen.add(key)
-            yield d
+    def source(j: int) -> list:
+        # the later parts at any node avoid the root's lowest edge, so
+        # each source is drawn once, inside the root's other edges
+        if j not in sources:
+            root_avail = rest - {min(rest)}
+            if j == 1:
+                sources[1] = [(c, 1) for c in neg_sets if c <= root_avail]
+            elif j == 2:
+                sources[2] = [(es, 2) for es in
+                              k4_minus_subdivision_edge_sets(g, root_avail)]
+            else:
+                large = _large_parts(g, root_avail, k - len(loops) - 2,
+                                     neg_sets)
+                for i in range(3, k - len(loops) - 1):
+                    sources[i] = [p for p in large if p[1] == i]
+        return sources[j]
 
-    if k <= 4:
-        # parts of index 1 (negative cycles) and 2 (all-negative-K4
-        # subdivisions), extracted at the lowest uncovered edge e0.  A K4-
-        # part taking e0 with budget b is the complement of the parts
-        # after it, whose budgets sum to b - 2, so it is tested, not
-        # searched for.
-        def search(remaining: frozenset, budget: int, parts: tuple
-                   ) -> Iterator[Decomposition]:
-            if not remaining:
-                if budget == 0 and len(parts) >= 2:
-                    yield from emit(parts)
-                return
-            if budget == 0:
-                return
-            e0 = min(remaining)
-            for cyc in cycles_by_edge.get(e0, ()):
-                if cyc <= remaining:
-                    yield from search(remaining - cyc, budget - 1,
-                                      parts + ((cyc, 1),))
-            if budget == 2:
-                # the K4- part is all that remains; alone it is no partition
-                if parts and _k4_minus_edge_set(g, remaining):
-                    yield from emit(parts + ((remaining, 2),))
-            elif budget >= 3:
-                # the K4- part next to one or two negative cycles
-                free = [c for c in neg_sets if e0 not in c and c <= remaining]
-                if budget == 3:
-                    for cyc in free:
-                        if _k4_minus_edge_set(g, remaining - cyc):
-                            yield from emit(parts + ((remaining - cyc, 2),
-                                                     (cyc, 1)))
-                else:  # budget 4 only at the root of k = 4
-                    for i, c1 in enumerate(free):
-                        for c2 in free[i + 1:]:
-                            if not c1 & c2 and _k4_minus_edge_set(
-                                    g, remaining - c1 - c2):
-                                yield from emit(((remaining - c1 - c2, 2),
-                                                 (c1, 1), (c2, 1)))
-            if budget == 4 and _branch_slots(g) == 8:
-                # the root of k = 4 split into two K4- parts
-                for es in k4_minus_subdivision_edge_sets(g, remaining):
-                    if e0 in es and _k4_minus_edge_set(g, remaining - es):
-                        yield from emit(((es, 2), (remaining - es, 2)))
-
-        yield from search(all_edges, k, ())
-
-        if k >= 4:
-            # one part of index k-1 >= 3 next to a single negative cycle
-            for cyc in neg_sets:
-                rest = all_edges - cyc
-                if rest and _is_nondecomposable_critical(g, rest, k - 1):
-                    yield from emit(((cyc, 1), (rest, k - 1)))
-        return
-
-    # guarded general fallback: extract any critical non-decomposable part
-    # containing the lowest edge, recurse on the rest
-    guards.check(g.m, guards.PARTITION_SEARCH_MAX_EDGES, "partition search")
-
-    def part_candidates(remaining: frozenset) -> Iterator[tuple]:
-        e0 = min(remaining)
-        rest = sorted(remaining - {e0})
-        for r in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                yield frozenset((e0,) + combo)
-
-    def general(remaining: frozenset, budget: int, parts: tuple
-                ) -> Iterator[Decomposition]:
+    def search(remaining: frozenset, budget: int, parts: tuple
+               ) -> Iterator[Decomposition]:
         if not remaining:
             if budget == 0 and len(parts) >= 2:
-                yield from emit(parts)
+                yield _normalize(parts)
             return
-        if budget == 0:
+        if budget <= 0:
             return
-        for cand in part_candidates(remaining):
-            sub = g.restrict(cand)
-            kc = frustration_index(sub).index
-            if not 1 <= kc <= budget:
-                continue
-            if _is_nondecomposable_critical(g, cand, kc):
-                yield from general(remaining - cand, budget - kc,
-                                   parts + ((cand, kc),))
+        e0 = min(remaining)
+        # the part holding e0 is a negative cycle ...
+        for cyc in cycles_by_edge[e0]:
+            if cyc <= remaining:
+                yield from search(remaining - cyc, budget - 1,
+                                  parts + ((cyc, 1),))
+        if budget == 1:
+            return
+        # ... or of index j >= 2 and the last one: what the later parts,
+        # a family avoiding e0, leave over
+        avail = remaining - {e0}
+        members = [p for j in range(1, budget - 1) for p in source(j)
+                   if p[0] <= avail]
+        for used, total, family in _families(members, budget - 2):
+            if not (parts or family):
+                continue  # a single part is no partition
+            last, j = remaining - used, budget - total
+            if (_k4_minus_edge_set(g, last) if j == 2
+                    else _is_nondecomposable_critical(g, last, j)):
+                yield _normalize(parts + family + ((last, j),))
 
-    yield from general(all_edges, k, ())
+    yield from search(rest, k - len(loops), loops)
 
 
-def _decompositions(g: SignedGraph, k: Optional[int],
-                    parts_connected: bool) -> Iterator[Decomposition]:
-    """The decomposition stream at k (default: the frustration index),
-    without the partitions having a disconnected part if parts_connected."""
-    if k is None:
-        k = frustration_index(g).index
-    for d in _decomposition_stream(g, k):
-        if not parts_connected or all(
-                g.restrict(eids).is_connected for eids, _ in d.parts):
-            yield d
-
-
-def find_decompositions(g: SignedGraph, k: Optional[int] = None,
-                        parts_connected: bool = False) -> tuple:
+def find_decompositions(g: SignedGraph, k: Optional[int] = None) -> tuple:
     """All partitions of the edges into non-decomposable critical parts.
 
-    k defaults to the frustration index.  With parts_connected, parts
-    inducing disconnected subgraphs are rejected (non-decomposable parts
-    are connected anyway, so this only bites in the fallback regime).
+    k defaults to the frustration index.
     """
     return tuple(sorted(
-        _decompositions(g, k, parts_connected),
+        _decomposition_stream(g, k),
         key=lambda d: (d.kind, tuple(sorted(map(sorted, (p for p, _ in d.parts)))))))
 
 
-def is_decomposable(g: SignedGraph, k: Optional[int] = None,
-                    parts_connected: bool = False) -> bool:
-    return next(_decompositions(g, k, parts_connected), None) is not None
+def is_decomposable(g: SignedGraph, k: Optional[int] = None) -> bool:
+    return next(_decomposition_stream(g, k), None) is not None

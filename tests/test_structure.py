@@ -324,6 +324,106 @@ def test_ladder_decomposition_counts(make, counts):
     assert {t: len(find_decompositions(make(t))) for t in counts} == counts
 
 
+def _partition_brute_force(g):
+    """Brute force that does not call the search: partitions(edges, k) is
+    every partition of the edge set edges into at least two blocks with
+    indices summing to k, each block critically frustrated (by
+    frustration_index and is_critical) with no such partition of its own.
+    Blocks are tried as every subset holding the lowest open edge, and the
+    verdict on a block is memoized per edge set."""
+    verdict = {}  # edge set -> its index if a non-decomposable critical part
+
+    def part_index(block):
+        if block not in verdict:
+            sub = g.restrict(block)
+            j = frustration_index(sub).index
+            verdict[block] = j if (j and is_critical(sub, j)
+                                   and not partitions(block, j)) else 0
+        return verdict[block]
+
+    def partitions(edges, k):
+        out = set()
+
+        def grow(remaining, budget, parts):
+            if not remaining:
+                if budget == 0:
+                    out.add(frozenset(parts))
+                return
+            e0 = min(remaining)
+            rest = sorted(remaining - {e0})
+            for r in range(len(rest) + 1):
+                for combo in combinations(rest, r):
+                    block = frozenset((e0, *combo))
+                    if block != edges and 0 < part_index(block) <= budget:
+                        j = part_index(block)
+                        grow(remaining - block, budget - j,
+                             parts + ((block, j),))
+
+        if k >= 2:
+            grow(edges, k, ())
+        return out
+
+    return partitions
+
+
+def _disjoint_union(*edge_lists):
+    return build_graph([(f"{i}:{u}", f"{i}:{v}", s)
+                        for i, edges in enumerate(edge_lists)
+                        for u, v, s in edges])
+
+
+_K4 = [(u, v, "-") for u in range(4) for v in range(u)]
+_K5_MINUS = [(e.u, e.v, e.sign)
+             for e in catalog.get("k5-minus").graph.edges]
+_LOOP = [(0, 0, "-")]
+
+
+@given(st.one_of(part_unions(max_m=11), signed_graphs(max_n=6, max_m=11)))
+@example(_disjoint_union(_K4, _K5_MINUS))  # (2, 3), index 3 avoiding e0
+@example(_disjoint_union(_K4, _K4, _LOOP))  # (1, 2, 2)
+@example(_disjoint_union(_K5_MINUS, _LOOP, _LOOP))  # (1, 1, 3)
+@example(_disjoint_union(_K4, _LOOP, _LOOP, _LOOP))  # (1, 1, 1, 2)
+@settings(max_examples=40, deadline=None)
+def test_decompositions_above_index_4_match_the_brute_force(g):
+    partitions = _partition_brute_force(g)
+    for k in (5, 6):
+        got = find_decompositions(g, k)
+        assert len({frozenset(d.parts) for d in got}) == len(got)
+        assert ({frozenset(d.parts) for d in got}
+                == partitions(frozenset(range(g.m)), k))
+        assert all(g.restrict(part).is_connected
+                   for d in got for part, _ in d.parts)
+
+
+def test_pinned_examples_above_index_4_have_their_kinds():
+    assert [d.kind for d in find_decompositions(
+        _disjoint_union(_K5_MINUS, _K4))] == [(2, 3)]
+    cases = {
+        (2, 3): _disjoint_union(_K4, _K5_MINUS),
+        (1, 2, 2): _disjoint_union(_K4, _K4, _LOOP),
+        (1, 1, 3): _disjoint_union(_K5_MINUS, _LOOP, _LOOP),
+        (1, 1, 1, 2): _disjoint_union(_K4, _LOOP, _LOOP, _LOOP),
+    }
+    for kind, g in cases.items():
+        assert [d.kind for d in find_decompositions(g)] == [kind]
+
+
+def test_loop_bouquet_splits_into_its_loops_without_part_tests(monkeypatch):
+    calls = []
+    tested = structure._is_nondecomposable_critical
+    monkeypatch.setattr(structure, "_is_nondecomposable_critical",
+                        lambda *args: calls.append(args) or tested(*args))
+    ds = find_decompositions(build_graph([(0, 0, "-")] * 12))
+    assert len(ds) == 1 and ds[0].kind == (1,) * 12
+    assert calls == []
+
+
+def test_positive_loop_blocks_decomposition_at_every_k():
+    # a positive loop lies on no negative cycle, so in no critical part
+    g = build_graph(_K4 + [(4, 4, "-"), (5, 5, "-"), (5, 5, "+")])
+    assert all(find_decompositions(g, k) == () for k in range(7))
+
+
 def test_k4_joins_of_index_4_are_not_decomposable():
     def minimum_form(name):
         g = catalog.get(name).graph
