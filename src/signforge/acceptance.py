@@ -39,8 +39,8 @@ class CriterionResult:
     seconds: float
 
 
-def random_signed_graph(rng: random.Random, max_n: int, max_m: int,
-                        loops: bool = True) -> SignedGraph:
+def random_signed_graph(rng: random.Random, max_n: int,
+                        max_m: int) -> SignedGraph:
     """A random signed multigraph without isolated vertices."""
     n = rng.randint(1, max_n)
     m = rng.randint(1, max_m)
@@ -48,8 +48,6 @@ def random_signed_graph(rng: random.Random, max_n: int, max_m: int,
     for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v and not loops:
-            continue
         sign = NEG if rng.random() < 0.5 else POS
         if u == v and sign == POS:
             sign = NEG  # positive loops are inert; keep instances meaningful

@@ -212,7 +212,7 @@ def _cmd_enumerate(args) -> int:
         manifest.append({"file": fname, "vertices": g.n, "edges": g.m})
     (outdir / "manifest.json").write_text(
         json.dumps({"schema": SCHEMA, "k": args.k,
-                    "bounds": vars(bounds) | {},
+                    "bounds": vars(bounds),
                     "classes": manifest}, indent=1, default=str) + "\n")
     _emit(args, {"command": "enumerate", "k": args.k,
                  "classes": len(found), "out": str(outdir)},

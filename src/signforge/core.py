@@ -213,9 +213,6 @@ def build_graph(edge_list: Sequence, isolated: Sequence = ()) -> SignedGraph:
 
 # -- switching ---------------------------------------------------------------
 
-SwitchSet = frozenset
-
-
 def switch(g: SignedGraph, s: Iterable[Vertex]) -> SignedGraph:
     """Flip the sign of every non-loop edge with exactly one endpoint in s."""
     s = frozenset(s)

@@ -21,6 +21,7 @@ from typing import Optional
 from . import guards
 from .core import NEG, Cycle, SignedGraph, cycle_sign
 from .errors import CycleCapExceeded, PreconditionError
+from .frustration import frustration_index
 
 
 def enumerate_cycles(g: SignedGraph, negative_only: bool = False) -> tuple:
@@ -227,7 +228,6 @@ def negative_cycle_double_cover(g: SignedGraph, k: int,
     edge of g hit exactly twice, so an edge on no negative cycle gives
     None.  Requires k to be the frustration index of g.
     """
-    from .frustration import frustration_index
     if frustration_index(g).index != k:
         raise PreconditionError(
             f"k={k} is not the frustration index of the graph")

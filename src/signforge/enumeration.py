@@ -4,35 +4,43 @@ isomorphism.
 Raw candidates are assignments of (multiplicity, negative count) to each
 vertex pair plus a negative-loop count per vertex.  Positive loops are
 excluded (they affect nothing studied here), as are isolated vertices, so
-vertex count is a class invariant.  One representative per switching-
-isomorphism class survives a canonical-form filter (`core.canonical_form`,
-an individualization-refinement search); the representative is rebuilt
-from its key, so its vertex labels follow that search, while the classes
-and their order follow the first raw candidate of each.
+vertex count is a class invariant.  One stream, `_raw_candidates`, yields
+them in (n, pair assignment, loops) order.  Each pair assignment becomes
+edge bitmasks once (one bit run per bundle, per-vertex incidence masks);
+a vertex whose pair edges give it degree below 1 needs a loop, and so
+does one of degree below 2 when only critical candidates are wanted (a
+critical graph has minimum degree 2: a pendant edge is in no cycle), and
+connectivity is read off the same masks.  No multiplicity or loop count
+above the edges left is tried, so bounds past `max_edges` cost nothing.
 
-The critical-graph filter runs on the raw integer encoding before any
-deduplication, through the switching kernel of `frustration`: each pair
-assignment becomes edge bitmasks (one bit run per bundle) and is scanned
-once, whatever its loops.  Deleting a pair edge lowers the index exactly
-when the edge is negative in some minimum switching (the kernel's
-OR-mask), and deleting a negative loop always does, so an assignment
-gives critical candidates only when its OR-mask covers every pair edge,
-and then exactly those whose loops number k minus its index.  The work
-is one scan per pair assignment, not one per (loop vector, assignment)
-and deleted edge.
+With a k, the stream keeps only the critically k-frustrated candidates,
+through the switching kernel of `frustration`: each pair assignment is
+scanned once by `_walk`, whatever its loops.  Deleting a pair edge lowers
+the index exactly when the edge is negative in some minimum switching
+(the kernel's OR-mask), and deleting a negative loop always does, so an
+assignment gives critical candidates only when its OR-mask covers every
+pair edge, and then exactly those whose loops number k minus its index.
+
+One class loop sits behind both enumerations: candidates that pass the
+filters go through a canonical-form filter (`core.canonical_form`, an
+individualization-refinement search) and the first member of each
+switching-isomorphism class wins.  The representative is rebuilt from its
+key, so its vertex labels follow that search, while the classes and their
+order follow the first raw candidate of each.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from . import guards
 from .core import (NEG, POS, SignedGraph, build_graph, canonical_form,
                    from_canonical_form)
 from .errors import GuardExceeded
 from .frustration import _walk
+from .structure import is_decomposable, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,9 @@ class EnumBounds:
                      "enumeration (edges)")
 
 
-# raw candidate: (n, loops, pairs) with loops a tuple of per-vertex negative
-# loop counts and pairs a tuple of (mult, neg) per pair of _pair_list(n)
+# raw candidate: (n, loops, assignment) with loops a tuple of per-vertex
+# negative loop counts and assignment a tuple of (mult, neg) per pair of
+# _pair_list(n)
 
 def _pair_list(n: int) -> tuple:
     return tuple(itertools.combinations(range(n), 2))
@@ -63,7 +72,8 @@ def _pair_list(n: int) -> tuple:
 def _assignments(b: EnumBounds, pairs: tuple, budget: int) -> Iterator[tuple]:
     """(assignment, edges used) for every assignment of (mult, neg) to
     pairs using at most budget edges, in lexicographic order."""
-    pair_opts = [(m, neg) for m in range(b.max_multiplicity_per_pair + 1)
+    pair_opts = [(m, neg)
+                 for m in range(min(b.max_multiplicity_per_pair, budget) + 1)
                  for neg in range(m + 1)]
 
     def assign(i: int, acc: list, used: int) -> Iterator[tuple]:
@@ -80,77 +90,25 @@ def _assignments(b: EnumBounds, pairs: tuple, budget: int) -> Iterator[tuple]:
     return assign(0, [], 0)
 
 
-def _raw_candidates(b: EnumBounds) -> Iterator[tuple]:
-    """All raw candidates within bounds, no isolated vertices, deterministic
-    lexicographic order."""
-    for n in range(1, b.max_vertices + 1):
-        pairs = _pair_list(n)
-        loop_opts = range(b.max_negative_loops_per_vertex + 1)
-        for loops in itertools.product(loop_opts, repeat=n):
-            lsum = sum(loops)
-            if lsum > b.max_edges:
-                continue
-            for assignment, _ in _assignments(b, pairs, b.max_edges - lsum):
-                deg = [2 * l for l in loops]
-                for (u, v), (mult, _) in zip(pairs, assignment):
-                    deg[u] += mult
-                    deg[v] += mult
-                if any(d == 0 for d in deg):
-                    continue
-                if b.connected_only and not _raw_connected(n, pairs, assignment):
-                    continue
-                yield (n, loops, assignment)
+def _connected(inc: list) -> bool:
+    """Whether the edges of the per-vertex incidence masks join every
+    vertex."""
+    reach, rest = inc[0], inc[1:]
+    while rest:
+        near = [mask for mask in rest if mask & reach]
+        if not near:
+            return False
+        for mask in near:
+            reach |= mask
+        rest = [mask for mask in rest if not mask & reach]
+    return True
 
 
-def _raw_connected(n: int, pairs: tuple, assignment: tuple) -> bool:
-    adj = {i: set() for i in range(n)}
-    for (u, v), (mult, _) in zip(pairs, assignment):
-        if mult:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        w = stack.pop()
-        for o in adj[w]:
-            if o not in seen:
-                seen.add(o)
-                stack.append(o)
-    return len(seen) == n
-
-
-def _raw_to_graph(n: int, loops: tuple, pairs: tuple,
-                  assignment: tuple) -> SignedGraph:
-    edge_list = []
-    for v, cnt in enumerate(loops):
-        edge_list += [(v, v, NEG)] * cnt
-    for (u, v), (mult, nneg) in zip(pairs, assignment):
-        edge_list += [(u, v, NEG)] * nneg
-        edge_list += [(u, v, POS)] * (mult - nneg)
-    return build_graph(edge_list, isolated=range(n))
-
-
-def enumerate_signed_graphs(b: EnumBounds) -> Iterator[SignedGraph]:
-    """One representative per switching-isomorphism class within bounds.
-
-    Deterministic: candidates stream in lexicographic order, first class
-    member wins, and the emitted value is rebuilt from its canonical key.
-    """
-    b.check()
-    seen = set()
-    for n, loops, assignment in _raw_candidates(b):
-        g = _raw_to_graph(n, loops, _pair_list(n), assignment)
-        key = canonical_form(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield from_canonical_form(key)
-
-
-def _raw_critical_hits(b: EnumBounds, k: int) -> list:
-    """Every critically k-frustrated raw candidate, in `_raw_candidates`
-    order, from one scan per pair assignment (see the module docstring)."""
-    hits = []
+def _raw_candidates(b: EnumBounds, k: Optional[int] = None) -> Iterator[tuple]:
+    """All raw candidates within bounds, no isolated vertices, in
+    (n, assignment, loops) order; with k, only the critically k-frustrated
+    ones (see the module docstring)."""
+    need = 1 if k is None else 2  # least degree a vertex needs
     for n in range(1, b.max_vertices + 1):
         pairs = _pair_list(n)
         for assignment, used in _assignments(b, pairs, b.max_edges):
@@ -164,25 +122,61 @@ def _raw_critical_hits(b: EnumBounds, k: int) -> list:
                     inc[u] |= run
                     inc[v] |= run
                     bit += mult
-            # critical graphs have minimum degree >= 2 (a pendant edge is
-            # in no cycle, so deleting it cannot change the index); a loop
-            # adds 2 and the pair edges at v are the bits of inc[v]
-            low = [int(mask.bit_count() < 2) for mask in inc]
+            # a loop adds 2 to the degree; the pair edges at v are inc[v]
+            low = [int(mask.bit_count() < need) for mask in inc]
             room = b.max_edges - used
-            if sum(low) > min(k, room) or b.connected_only and \
-                    not _raw_connected(n, pairs, assignment):
+            if sum(low) > (room if k is None else min(k, room)) or \
+                    b.connected_only and not _connected(inc):
                 continue
-            index, _, neg_or = _walk(inc[1:], neg)  # vertex 0 pinned
-            lsum = k - index
-            if neg_or != (1 << bit) - 1 or not sum(low) <= lsum <= room:
-                continue
-            for loops in itertools.product(
-                    *(range(lo, b.max_negative_loops_per_vertex + 1)
-                      for lo in low)):
-                if sum(loops) == lsum:
-                    hits.append((n, loops, assignment))
-    hits.sort()
-    return hits
+            least, most = 0, room  # bounds on the loop total
+            if k is not None:
+                index, _, neg_or = _walk(inc[1:], neg)  # vertex 0 pinned
+                least = most = k - index
+                if neg_or != (1 << bit) - 1 or not sum(low) <= most <= room:
+                    continue
+            top = min(b.max_negative_loops_per_vertex, most)
+            for loops in itertools.product(*(range(lo, top + 1)
+                                             for lo in low)):
+                if least <= sum(loops) <= most:
+                    yield n, loops, assignment
+
+
+def _raw_to_graph(n: int, loops: tuple, pairs: tuple,
+                  assignment: tuple) -> SignedGraph:
+    edge_list = []
+    for v, cnt in enumerate(loops):
+        edge_list += [(v, v, NEG)] * cnt
+    for (u, v), (mult, nneg) in zip(pairs, assignment):
+        edge_list += [(u, v, NEG)] * nneg
+        edge_list += [(u, v, POS)] * (mult - nneg)
+    return build_graph(edge_list, isolated=range(n))
+
+
+def _classes(candidates: Iterator[tuple],
+             keep: Callable = lambda g: True) -> Iterator[SignedGraph]:
+    """The class loop: one representative per switching-isomorphism class
+    of the candidates that keep accepts, first member wins, rebuilt from
+    its canonical key."""
+    seen = set()
+    for n, loops, assignment in candidates:
+        g = _raw_to_graph(n, loops, _pair_list(n), assignment)
+        if not keep(g):
+            continue
+        key = canonical_form(g)
+        if key not in seen:
+            seen.add(key)
+            yield from_canonical_form(key)
+
+
+def enumerate_signed_graphs(b: EnumBounds) -> Iterator[SignedGraph]:
+    """One representative per switching-isomorphism class within bounds.
+
+    Deterministic: candidates stream in (n, pair assignment, loops) order,
+    first class member wins, and the emitted value is rebuilt from its
+    canonical key.
+    """
+    b.check()
+    yield from _classes(_raw_candidates(b))
 
 
 def enumerate_critical(b: EnumBounds, k: int,
@@ -191,22 +185,13 @@ def enumerate_critical(b: EnumBounds, k: int,
     """All critically k-frustrated classes within bounds.
 
     irreducible_only additionally drops proper subdivisions;
-    non_decomposable_only drops decomposable graphs.
+    non_decomposable_only drops decomposable graphs.  Classes come in the
+    order of their first raw candidate, (n, pair assignment, loops).
     """
     b.check()
-    from .structure import is_decomposable, is_irreducible
 
-    seen = set()
-    out = []
-    for n, loops, assignment in _raw_critical_hits(b, k):
-        g = _raw_to_graph(n, loops, _pair_list(n), assignment)
-        if irreducible_only and not is_irreducible(g):
-            continue
-        if non_decomposable_only and is_decomposable(g, k):
-            continue
-        key = canonical_form(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(from_canonical_form(key))
-    return tuple(out)
+    def keep(g: SignedGraph) -> bool:
+        return (not irreducible_only or is_irreducible(g)) and \
+            (not non_decomposable_only or not is_decomposable(g, k))
+
+    return tuple(_classes(_raw_candidates(b, k), keep))

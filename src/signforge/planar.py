@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import NEG, SignedGraph
+from .criticality import is_critical
 from .errors import EmbeddingError, PreconditionError, TheoremViolation
 from .frustration import minimum_signature_switch
 
@@ -146,7 +147,6 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
     signature.
     """
     if check_critical:
-        from .criticality import is_critical
         if not is_critical(g, k):
             raise PreconditionError(f"graph is not critically {k}-frustrated")
     fs = faces(g, rot, planar=True)

@@ -36,6 +36,7 @@ from typing import Callable, Iterator, Optional
 
 from . import guards
 from .core import NEG, POS, SignedGraph, build_graph
+from .criticality import is_critical
 from .cycles import (has_two_edge_disjoint_negative_cycles,
                      max_edge_disjoint_negative_cycles, negative_cycles)
 from .errors import PreconditionError, TheoremViolation
@@ -341,8 +342,6 @@ def in_s_star(g: SignedGraph, k: Optional[int] = None) -> bool:
     Raises PreconditionError unless g is irreducible and critically
     k-frustrated; then membership is exactly packing number <= 1.
     """
-    from .criticality import is_critical  # local import, cycle of concerns
-
     if not is_irreducible(g):
         raise PreconditionError("graph is reducible")
     ell = frustration_index(g).index
@@ -375,8 +374,6 @@ def _normalize(parts) -> Decomposition:
 
 
 def _is_nondecomposable_critical(g: SignedGraph, part: frozenset, k: int) -> bool:
-    from .criticality import is_critical
-
     sub = g.restrict(part)
     # is_critical(sub, k) already fails unless k is the index of sub
     return is_critical(sub, k) and not any(

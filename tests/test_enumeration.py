@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -135,3 +136,71 @@ def test_enumerate_critical_matches_brute_force(
                              non_decomposable_only)
     assert got == brute_force_critical(bounds, k, irreducible_only,
                                        non_decomposable_only)
+
+
+def test_bounds_beyond_the_edge_budget_change_nothing():
+    # a pair takes at most max_edges edges and a vertex at most max_edges
+    # loops, so larger caps must give the same classes and not blow up
+    # the option lists or the loop product
+    assert enumerate_critical(EnumBounds(3, 10**9, 10**9, 6), 2) == \
+        enumerate_critical(EnumBounds(3, 6, 6, 6), 2)
+    assert list(enumerate_signed_graphs(EnumBounds(3, 10**9, 10**9, 4))) == \
+        list(enumerate_signed_graphs(EnumBounds(3, 4, 4, 4)))
+
+
+def union_find_components(n, links):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in links:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(n)})
+
+
+def oracle_raw_candidates(b):
+    """Every raw candidate by plain products: all (mult, neg) per pair and
+    all loop vectors, kept when within the edge budget, without isolated
+    vertices and (if asked) connected, sorted by (n, assignment, loops)."""
+    out = []
+    for n in range(1, b.max_vertices + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        opts = [(m, neg) for m in range(b.max_multiplicity_per_pair + 1)
+                for neg in range(m + 1)]
+        for assignment in itertools.product(opts, repeat=len(pairs)):
+            links = [p for p, (m, _) in zip(pairs, assignment) if m]
+            for loops in itertools.product(
+                    range(b.max_negative_loops_per_vertex + 1), repeat=n):
+                if sum(loops) + sum(m for m, _ in assignment) > b.max_edges:
+                    continue
+                touched = {v for v in range(n) if loops[v]}
+                touched.update(v for link in links for v in link)
+                if len(touched) < n:
+                    continue
+                if b.connected_only and union_find_components(n, links) > 1:
+                    continue
+                out.append((n, assignment, loops))
+    return [(n, loops, assignment) for n, assignment, loops in sorted(out)]
+
+
+@pytest.mark.parametrize("bounds", [
+    EnumBounds(1, 2, 2, 10),
+    EnumBounds(2, 2, 1, 4),
+    EnumBounds(3, 2, 1, 5),
+    EnumBounds(3, 2, 0, 6),
+    EnumBounds(3, 1, 1, 6, connected_only=True),
+])
+def test_raw_candidates_match_oracle(bounds):
+    want = oracle_raw_candidates(bounds)
+    assert list(_raw_candidates(bounds)) == want
+    seen, classes = set(), []
+    for n, loops, assignment in want:
+        key = canonical_form(_raw_to_graph(n, loops, _pair_list(n),
+                                           assignment))
+        if key not in seen:
+            seen.add(key)
+            classes.append(from_canonical_form(key))
+    assert list(enumerate_signed_graphs(bounds)) == classes
