@@ -98,9 +98,9 @@ def _connected(inc: list) -> bool:
         near = [mask for mask in rest if mask & reach]
         if not near:
             return False
+        rest = [mask for mask in rest if not mask & reach]
         for mask in near:
             reach |= mask
-        rest = [mask for mask in rest if not mask & reach]
     return True
 
 

@@ -192,6 +192,7 @@ def oracle_raw_candidates(b):
     EnumBounds(3, 2, 1, 5),
     EnumBounds(3, 2, 0, 6),
     EnumBounds(3, 1, 1, 6, connected_only=True),
+    EnumBounds(4, 1, 0, 3, connected_only=True),
 ])
 def test_raw_candidates_match_oracle(bounds):
     want = oracle_raw_candidates(bounds)
@@ -204,3 +205,17 @@ def test_raw_candidates_match_oracle(bounds):
             seen.add(key)
             classes.append(from_canonical_form(key))
     assert list(enumerate_signed_graphs(bounds)) == classes
+
+
+def test_connected_critical_stream_matches_union_find():
+    # a path of negative digons 0-1-2-3 is critically 3-frustrated with
+    # vertex 3 three steps from vertex 0, so connectivity must be followed
+    # past distance 2
+    loose = EnumBounds(4, 2, 1, 6)
+    want = [(n, loops, assignment)
+            for n, loops, assignment in _raw_candidates(loose, 3)
+            if union_find_components(n, [p for p, (m, _) in
+                                         zip(_pair_list(n), assignment)
+                                         if m]) == 1]
+    connected = EnumBounds(4, 2, 1, 6, connected_only=True)
+    assert list(_raw_candidates(connected, 3)) == want
