@@ -32,10 +32,8 @@ from typing import Iterable, Optional
 from . import guards
 from .core import NEG, EdgeCut, SignedGraph, cut, switch
 from .errors import PreconditionError
-from .frustration import (FrustrationResult, _component_scans,
-                          _loop_baseline, _signatures, frustration_index)
-
-METHODS = ("deletion", "signatures", "cuts")
+from .frustration import (_component_scans, _frustration, _loop_baseline,
+                          _signatures)
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,14 @@ def equilibrated_cut_for_edge(g: SignedGraph, eid: int) -> Optional[EdgeCut]:
     Only one side of each cut is scanned: the side containing the least
     vertex.  Returns None when no equilibrated cut contains the edge.
     """
+    if not 0 <= eid < g.m:
+        raise PreconditionError(f"edge {eid} is not an edge id "
+                                f"(0..{g.m - 1})")
     side = _first_equilibrated_sides(g, [eid]).get(eid)
     return None if side is None else cut(g, side)
 
 
-def _certify_deletion(g: SignedGraph, k: int,
-                      scans: list) -> CriticalityCertificate:
+def _certify_deletion(g: SignedGraph, k: int, scans: list) -> tuple:
     # edges negative in some minimum switching
     lowered = functools.reduce(operator.or_, (s[3] for s in scans), 0)
     drops = {}
@@ -106,12 +106,10 @@ def _certify_deletion(g: SignedGraph, k: int,
         drop = (e.sign == NEG) if e.is_loop else bool(lowered >> e.eid & 1)
         drops[e.eid] = k - 1 if drop else k
     critical = all(sub == k - 1 for sub in drops.values())
-    return CriticalityCertificate(critical, k, "deletion",
-                                  {"index_after_deletion": drops})
+    return critical, {"index_after_deletion": drops}
 
 
-def _certify_signatures(g: SignedGraph, k: int,
-                        scans: list) -> CriticalityCertificate:
+def _certify_signatures(g: SignedGraph, k: int, scans: list) -> tuple:
     # the signatures are a product over the components, so g.n bounds them
     guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
                  "minimum-signature enumeration")
@@ -123,22 +121,25 @@ def _certify_signatures(g: SignedGraph, k: int,
         witness[e.eid] = list(hit) if hit is not None else None
         if hit is None:
             critical = False
-    return CriticalityCertificate(critical, k, "signatures",
-                                  {"negative_in_signature": witness})
+    return critical, {"negative_in_signature": witness}
 
 
-def _certify_cuts(g: SignedGraph, k: int,
-                  res: FrustrationResult) -> CriticalityCertificate:
-    gmin = switch(g, res.switch_set)
+def _certify_cuts(g: SignedGraph, k: int, scans: list) -> tuple:
+    switch_set = _frustration(g, scans).switch_set
+    gmin = switch(g, switch_set)
     # edges already negative in the minimum signature need no cut
     positive = [e.eid for e in gmin.edges if e.sign != NEG]
     sides = _first_equilibrated_sides(gmin, positive)
     cuts = {eid: cut(gmin, sides[eid]).to_json(gmin) if eid in sides else None
             for eid in positive}
-    return CriticalityCertificate(
-        len(sides) == len(positive), k, "cuts",
-        {"minimum_switch_set": sorted(map(str, res.switch_set)),
-         "equilibrated_cuts": cuts})
+    return len(sides) == len(positive), {
+        "minimum_switch_set": sorted(map(str, switch_set)),
+        "equilibrated_cuts": cuts}
+
+
+_CERTIFIERS = {"deletion": _certify_deletion,
+               "signatures": _certify_signatures, "cuts": _certify_cuts}
+METHODS = tuple(_CERTIFIERS)
 
 
 def certify(g: SignedGraph, k: Optional[int] = None,
@@ -151,24 +152,17 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; use one of {METHODS}")
-    if method == "cuts":
-        res = frustration_index(g)
-        index = res.index
-    else:
-        # one scan per component gives the index and every ℓ(G-e), or
-        # every minimum signature
-        scans = _component_scans(g)
-        index = _loop_baseline(g) + sum(s[1] for s in scans)
+    # one scan per component gives the index and every ℓ(G-e), every
+    # minimum signature, or the lex-least minimum switching
+    scans = _component_scans(g)
+    index = _loop_baseline(g) + sum(s[1] for s in scans)
     if k is None:
         k = index
     if index != k or k == 0:
         return CriticalityCertificate(
             False, k, method, {"frustration_index": index})
-    if method == "deletion":
-        return _certify_deletion(g, k, scans)
-    if method == "signatures":
-        return _certify_signatures(g, k, scans)
-    return _certify_cuts(g, k, res)
+    critical, details = _CERTIFIERS[method](g, k, scans)
+    return CriticalityCertificate(critical, k, method, details)
 
 
 def is_critical(g: SignedGraph, k: Optional[int] = None,

@@ -71,6 +71,7 @@ def enumerate_cycles(g: SignedGraph, negative_only: bool = False) -> tuple:
         path_v.append(start)
         dfs(s, s, 0)
         path_v.pop()
+    del dfs  # a self-referencing closure: free its state now, not at gc
     out.sort(key=lambda c: (len(c), c.edge_ids))
     return tuple(out)
 
@@ -150,7 +151,9 @@ def _least_family(options: list, universe: int, size: int, lo: int,
         dead.add(key)
         return None
 
-    return step(0, 0, size, 0, 0)
+    found = step(0, 0, size, 0, 0)
+    del step  # a self-referencing closure: free its memo now, not at gc
+    return found
 
 
 def _edge_mask(c: Cycle) -> int:

@@ -113,9 +113,14 @@ def frustration_index(g: SignedGraph) -> FrustrationResult:
     vertex strings).  The reported negative edge ids are those of
     switch(g, switch_set).
     """
+    return _frustration(g, _component_scans(g))
+
+
+def _frustration(g: SignedGraph, scans: list) -> FrustrationResult:
+    """`frustration_index` read from the components' `_scan`s."""
     total = _loop_baseline(g)
     full = frozenset()
-    for free, best, masks, _ in _component_scans(g):
+    for free, best, masks, _ in scans:
         total += best
         names = [str(v) for v in free]
         least = min(masks, key=lambda m: sorted(

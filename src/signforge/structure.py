@@ -47,8 +47,8 @@ from .frustration import frustration_index
 
 # pair order for the six connecting paths of branch vertices (a, b, c, d)
 _PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# triangles checkable after each path completes: (path indices, ready-after)
-_TRIANGLES = (((0, 1, 3), 3), ((0, 2, 4), 4), ((1, 2, 5), 5), ((3, 4, 5), 5))
+# per path: the triangles (as path indices) its completion makes checkable
+_TRIANGLES = ((), (), (), ((0, 1, 3),), ((0, 2, 4),), ((1, 2, 5), (3, 4, 5)))
 
 
 @dataclass(frozen=True)
@@ -73,54 +73,50 @@ def _path_systems(adj: dict, quad: tuple) -> Iterator[tuple]:
     such that the four triangle-image cycles are negative.
 
     adj maps each vertex to its allowed non-loop (eid, other end, sign)
-    entries in ascending eid order."""
-    branch = set(quad)
-    used_edges = 0  # bitmask of the edges on completed paths
-    used_internal: set = set()
-    paths: list = []
-    signs: list = []
+    entries in ascending eid order.  One depth-first search grows the
+    paths in `_PAIR_ORDER`, each by ascending edge ids, on one state: the
+    bitmask `used` of the edges on the paths so far, the set `taken` of
+    the branch vertices and every inner vertex so far, the stack `steps`
+    of (edge id, far end) steps, whose slice from a path's first step is
+    that path, and the list `done` of the finished paths with their
+    signs.  Everything is marked on the way down and cleared on the way
+    back (`used` is passed down, so a return clears it).
+    """
+    return _grow(adj, quad, set(quad), [], [], 0, 0, quad[0], POS, 0)
 
-    def triangles_ok(upto: int) -> bool:
-        for tri, ready in _TRIANGLES:
-            if ready == upto:
-                if signs[tri[0]] * signs[tri[1]] * signs[tri[2]] != NEG:
-                    return False
-        return True
 
-    def connect(pi: int) -> Iterator[tuple]:
-        nonlocal used_edges
-        if pi == 6:
-            yield tuple(paths)
-            return
-        x = quad[_PAIR_ORDER[pi][0]]
-        y = quad[_PAIR_ORDER[pi][1]]
-
-        def extend(v, eids, vseq, sgn, mask) -> Iterator[tuple]:
-            nonlocal used_edges
-            for eid, o, s in adj[v]:
-                if used_edges >> eid & 1:
-                    continue
-                if o == y:
-                    path = ((x, y), tuple(eids) + (eid,), tuple(vseq) + (y,))
-                    paths.append(path)
-                    signs.append(sgn * s)
-                    inner = path[2][1:-1]
-                    if triangles_ok(pi):
-                        used_edges |= mask | 1 << eid
-                        used_internal.update(inner)
-                        yield from connect(pi + 1)
-                        used_edges ^= mask | 1 << eid
-                        used_internal.difference_update(inner)
-                    signs.pop()
-                    paths.pop()
-                elif (o not in branch and o not in used_internal
-                        and o not in vseq):
-                    yield from extend(o, eids + [eid], vseq + [o], sgn * s,
-                                      mask | 1 << eid)
-
-        yield from extend(x, [], [x], POS, 0)
-
-    yield from connect(0)
+def _grow(adj: dict, quad: tuple, taken: set, steps: list, done: list,
+          used: int, pi: int, v, sign: int, begin: int) -> Iterator[tuple]:
+    """`_path_systems` from path pi, grown as far as v with the given
+    sign, its first step at steps[begin]."""
+    a, b = _PAIR_ORDER[pi]
+    y = quad[b]
+    for eid, o, s in adj[v]:
+        if used >> eid & 1:
+            continue
+        if o == y:
+            steps.append((eid, o))
+            path = steps[begin:]
+            done.append((((quad[a], y), tuple([e for e, _ in path]),
+                          (quad[a], *[w for _, w in path])), sign * s))
+            if all([done[i][1] * done[j][1] * done[k][1] == NEG
+                    for i, j, k in _TRIANGLES[pi]]):
+                if pi == 5:
+                    yield tuple([p for p, _ in done])
+                else:
+                    yield from _grow(adj, quad, taken, steps, done,
+                                     used | 1 << eid, pi + 1,
+                                     quad[_PAIR_ORDER[pi + 1][0]], POS,
+                                     len(steps))
+            done.pop()
+            steps.pop()
+        elif o not in taken:
+            taken.add(o)
+            steps.append((eid, o))
+            yield from _grow(adj, quad, taken, steps, done, used | 1 << eid,
+                             pi, o, sign * s, begin)
+            steps.pop()
+            taken.remove(o)
 
 
 def _iter_k4_minus_subdivisions(g: SignedGraph,
@@ -243,11 +239,12 @@ def check_packing_equality(g: SignedGraph) -> PackingReport:
 
 # -- signed subdivision and suppression -------------------------------------------
 
-def subdivide(g: SignedGraph, u, v, new_vertex=None) -> SignedGraph:
+def subdivide(g: SignedGraph, u, v) -> SignedGraph:
     """Subdivide the monochromatic bundle between u and v (u = v for loops).
 
     The bundle, say t edges of sign s, becomes t edges u-w of sign s plus
-    t positive edges w-v through a fresh vertex w.
+    t positive edges w-v through a fresh vertex w, the first of w0, w1,
+    ... not in g.
     """
     g.check_vertices((u, v))
     pair = frozenset((u, v))
@@ -258,17 +255,14 @@ def subdivide(g: SignedGraph, u, v, new_vertex=None) -> SignedGraph:
     if len(signs) != 1:
         raise PreconditionError("bundle is not monochromatic")
     (s,) = signs
-    if new_vertex is None:
-        i = 0
-        while f"w{i}" in g.vindex:
-            i += 1
-        new_vertex = f"w{i}"
-    elif new_vertex in g.vindex:
-        raise PreconditionError(f"vertex {new_vertex!r} already present")
+    i = 0
+    while f"w{i}" in g.vindex:
+        i += 1
+    w = f"w{i}"
     drop = set(ids)
     edge_list = [(e.u, e.v, e.sign) for e in g.edges if e.eid not in drop]
-    edge_list += [(u, new_vertex, s)] * len(ids)
-    edge_list += [(new_vertex, v, POS)] * len(ids)
+    edge_list += [(u, w, s)] * len(ids)
+    edge_list += [(w, v, POS)] * len(ids)
     return build_graph(edge_list, isolated=g.vertices)
 
 
@@ -308,6 +302,7 @@ def is_irreducible(g: SignedGraph) -> bool:
 
 
 def suppress(g: SignedGraph, v) -> SignedGraph:
+    g.check_vertices((v,))
     repl = _suppression_result(g, v)
     if repl is None:
         raise PreconditionError(f"vertex {v!r} is not suppressible")
@@ -406,21 +401,22 @@ def _large_parts(g: SignedGraph, edges: frozenset, top: int,
     return sorted(out, key=lambda p: (p[1], sorted(p[0])))
 
 
-def _families(members: list, room: int) -> Iterator[tuple]:
+def _families(members: list, room: int, start: int = 0,
+              used: frozenset = frozenset(), total: int = 0,
+              chosen: tuple = ()) -> Iterator[tuple]:
     """Every family of pairwise disjoint members whose indices sum to at
     most room, once each and in list order: (union, index sum, family).
-    members are (edge set, index) pairs sorted by index."""
-    def grow(start: int, used: frozenset, total: int, chosen: tuple):
-        yield used, total, chosen
-        for i in range(start, len(members)):
-            es, j = members[i]
-            if total + j > room:
-                break
-            if not es & used:
-                yield from grow(i + 1, used | es, total + j,
-                                chosen + ((es, j),))
-
-    return grow(0, frozenset(), 0, ())
+    members are (edge set, index) pairs sorted by index; the other
+    arguments are the recursion's: the family so far and where the next
+    member may start."""
+    yield used, total, chosen
+    for i in range(start, len(members)):
+        es, j = members[i]
+        if total + j > room:
+            break
+        if not es & used:
+            yield from _families(members, room, i + 1, used | es, total + j,
+                                 chosen + ((es, j),))
 
 
 def _decomposition_stream(g: SignedGraph, k: Optional[int]

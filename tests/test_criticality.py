@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from signforge.core import build_graph, cut, switch
-from signforge.errors import GuardExceeded
+from signforge.errors import GuardExceeded, PreconditionError
 from signforge.criticality import (METHODS, certify, equilibrated_cut_for_edge,
                                    is_critical)
 from signforge.frustration import frustration_index, minimum_signature_switch
@@ -92,6 +92,13 @@ def test_equilibrated_cut_for_edge():
     assert pos in c.boundary
     loop = build_graph([(0, 0, "-"), (0, 1, "+"), (0, 1, "-")])
     assert equilibrated_cut_for_edge(loop, 0) is None
+
+
+@pytest.mark.parametrize("eid", [-1, 3, 9])
+def test_equilibrated_cut_for_bad_edge_id_is_a_typed_error(eid):
+    g = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-")])
+    with pytest.raises(PreconditionError, match="not an edge id"):
+        equilibrated_cut_for_edge(g, eid)
 
 
 @given(signed_graphs(max_n=5, max_m=8))

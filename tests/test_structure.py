@@ -14,7 +14,7 @@ from signforge.cycles import (has_two_edge_disjoint_negative_cycles,
                               negative_cycles)
 from signforge import structure
 from signforge.errors import (PreconditionError, SignforgeError,
-                              TheoremViolation)
+                              TheoremViolation, UnknownVertexError)
 from signforge.frustration import frustration_index
 from signforge.structure import (_k4_minus_edge_set, check_packing_equality,
                                  find_decompositions,
@@ -75,6 +75,11 @@ def test_mixed_digon_to_one_neighbor_becomes_negative_loop():
     h = suppress(g, 0)
     loops = [e for e in h.edges if e.is_loop]
     assert len(loops) == 1 and loops[0].u == 1 and loops[0].sign == -1
+
+
+def test_suppress_unknown_vertex_is_a_typed_error():
+    with pytest.raises(UnknownVertexError):
+        suppress(build_graph([(0, 1, "-"), (1, 2, "+")]), "nope")
 
 
 def test_reduce_subdivided_loop_to_negative_cycle():
@@ -187,6 +192,22 @@ def test_k4_minus_witness_follows_the_search_order():
     assert paths(w5) == [
         (["1", "2"], [0]), (["1", "3"], [3, 2, 1]), (["1", "w"], [5]),
         (["2", "3"], [4]), (["2", "w"], [7]), (["3", "w"], [8])]
+
+
+def test_k4_minus_subdivision_counts_on_larger_graphs():
+    # past the exhaustive edge-subset checks (m <= 10): a search that
+    # prunes too much finds fewer edge sets
+    def count(g):
+        return len(k4_minus_subdivision_edge_sets(g))
+
+    assert [count(ghat(t)) for t in range(4)] == [2, 12, 30, 56]
+    for t in (1, 2):
+        g = ghat_planar(t)[0]
+        assert count(g) == 0 and find_k4_minus_subdivision(g) is None
+    p3 = [count(catalog.get(n).graph) for n in catalog.entries_with_tag("P3*")]
+    assert p3 == [2, 5, 4, 4, 6, 6, 4, 8, 4, 8]
+    assert count(catalog.get("s3-projective").graph) == 120
+    assert count(catalog.get("s3-petersen").graph) == 45
 
 
 def test_packing_equality_without_subdivision():
