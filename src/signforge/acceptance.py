@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import catalog
 from .constructions import ghat, ghat_planar, h_join
@@ -158,7 +158,6 @@ def crit_6_star_two() -> tuple:
 
 
 def crit_7_join() -> tuple:
-    k4 = catalog.get("k4-minus-all")
     members = [("k4-minus-all", 2)]
     members += [(n, 3) for n in catalog.entries_with_tag("P3*")]
     members += [(n, 3) for n in catalog.entries_with_tag("S3*")]

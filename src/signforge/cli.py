@@ -16,10 +16,9 @@ import sys
 from . import catalog as catalog_mod
 from .acceptance import CRITERIA, run_all, run_one
 from .constructions import ghat, ghat_planar, h_join
-from .core import SignedGraph, parse_sg, serialize_sg, switch
+from .core import SignedGraph, parse_sg, serialize_sg
 from .criticality import METHODS, certify
-from .cycles import (cycleset_to_json, max_edge_disjoint_negative_cycles,
-                     negative_cycle_double_cover)
+from .cycles import cycleset_to_json, max_edge_disjoint_negative_cycles
 from .enumeration import EnumBounds, enumerate_critical
 from .errors import GuardExceeded, SignforgeError
 from .frustration import frustration_index

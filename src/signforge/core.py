@@ -53,6 +53,34 @@ class Edge:
         return frozenset((self.u, self.v))
 
 
+def _mask_components(masks: Iterable[int]) -> list:
+    """Indices grouped by shared mask bits, directly or through other
+    masks, each group ascending and the groups by least index; a mask of 0
+    is a group of its own.  One step per set bit."""
+    first: dict = {}  # bit -> the least index whose mask holds it
+    link = []  # per index, the indices it shares a bit with (and itself)
+    for i, mask in enumerate(masks):
+        link.append([])
+        while mask:
+            bit = mask.bit_length() - 1
+            j = first.setdefault(bit, i)
+            link[i].append(j)
+            link[j].append(i)
+            mask ^= 1 << bit
+    seen, out = [False] * len(link), []
+    for root in range(len(link)):
+        if not seen[root]:
+            seen[root] = True
+            group = [root]
+            for i in group:  # the flood: the group grows while it is read
+                for j in link[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        group.append(j)
+            out.append(sorted(group))
+    return out
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     vertices: tuple
@@ -132,24 +160,10 @@ class SignedGraph:
 
     @cached_property
     def components(self) -> tuple:
-        """Connected components as frozensets of vertices."""
-        seen = set()
-        out = []
-        for root in self.vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            stack = [root]
-            while stack:
-                w = stack.pop()
-                for eid in self.incidence[w]:
-                    o = self.edges[eid].other(w)
-                    if o not in comp:
-                        comp.add(o)
-                        stack.append(o)
-            seen |= comp
-            out.append(frozenset(comp))
-        return tuple(out)
+        """Connected components as frozensets, by least vertex: the
+        `_mask_components` flood, shared with the enumeration's filter."""
+        return tuple(frozenset(map(self.vertices.__getitem__, group)) for group
+                     in _mask_components(self.incidence_masks.values()))
 
     @property
     def is_connected(self) -> bool:

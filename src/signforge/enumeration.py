@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import guards
-from .core import (NEG, POS, SignedGraph, build_graph, canonical_form,
-                   from_canonical_form)
-from .errors import GuardExceeded
+from .core import (NEG, POS, SignedGraph, _mask_components, build_graph,
+                   canonical_form, from_canonical_form)
+from .errors import PreconditionError
 from .frustration import _walk
 from .structure import is_decomposable, is_irreducible
 
@@ -54,7 +54,7 @@ class EnumBounds:
     def check(self) -> None:
         if min(self.max_vertices, self.max_multiplicity_per_pair,
                self.max_negative_loops_per_vertex, self.max_edges) < 0:
-            raise GuardExceeded("bounds must be non-negative")
+            raise PreconditionError("bounds must be non-negative")
         guards.check(self.max_vertices, guards.ENUM_MAX_VERTICES,
                      "enumeration (vertices)")
         guards.check(self.max_edges, guards.ENUM_MAX_EDGES,
@@ -90,20 +90,6 @@ def _assignments(b: EnumBounds, pairs: tuple, budget: int) -> Iterator[tuple]:
     return assign(0, [], 0)
 
 
-def _connected(inc: list) -> bool:
-    """Whether the edges of the per-vertex incidence masks join every
-    vertex."""
-    reach, rest = inc[0], inc[1:]
-    while rest:
-        near = [mask for mask in rest if mask & reach]
-        if not near:
-            return False
-        rest = [mask for mask in rest if not mask & reach]
-        for mask in near:
-            reach |= mask
-    return True
-
-
 def _raw_candidates(b: EnumBounds, k: Optional[int] = None) -> Iterator[tuple]:
     """All raw candidates within bounds, no isolated vertices, in
     (n, assignment, loops) order; with k, only the critically k-frustrated
@@ -126,7 +112,7 @@ def _raw_candidates(b: EnumBounds, k: Optional[int] = None) -> Iterator[tuple]:
             low = [int(mask.bit_count() < need) for mask in inc]
             room = b.max_edges - used
             if sum(low) > (room if k is None else min(k, room)) or \
-                    b.connected_only and not _connected(inc):
+                    b.connected_only and len(_mask_components(inc)) > 1:
                 continue
             least, most = 0, room  # bounds on the loop total
             if k is not None:

@@ -17,12 +17,12 @@ class NotACycleError(SignforgeError):
     """An edge sequence that is not a cycle of the host graph."""
 
 
-class CycleCapExceeded(SignforgeError):
-    """Cycle enumeration hit the configured cap."""
-
-
 class GuardExceeded(SignforgeError):
     """A size guard refused the computation (override with SIGNFORGE_GUARD_OVERRIDE=1)."""
+
+
+class CycleCapExceeded(GuardExceeded):
+    """Cycle enumeration hit the configured cap."""
 
 
 class PreconditionError(SignforgeError):

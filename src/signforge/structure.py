@@ -419,6 +419,37 @@ def _families(members: list, room: int, start: int = 0,
                                  chosen + ((es, j),))
 
 
+def _search(g: SignedGraph, cycles_by_edge: dict, source: Callable,
+            remaining: frozenset, budget: int, parts: tuple) -> Iterator:
+    """`_decomposition_stream`'s recursion on the lowest open edge."""
+    if not remaining:
+        if budget == 0 and len(parts) >= 2:
+            yield _normalize(parts)
+        return
+    if budget <= 0:
+        return
+    e0 = min(remaining)
+    # the part holding e0 is a negative cycle ...
+    for cyc in cycles_by_edge[e0]:
+        if cyc <= remaining:
+            yield from _search(g, cycles_by_edge, source, remaining - cyc,
+                               budget - 1, parts + ((cyc, 1),))
+    if budget == 1:
+        return
+    # ... or of index j >= 2 and the last one: what the later parts, a
+    # family avoiding e0, leave over
+    avail = remaining - {e0}
+    members = [p for j in range(1, budget - 1) for p in source(j)
+               if p[0] <= avail]
+    for used, total, family in _families(members, budget - 2):
+        if not (parts or family):
+            continue  # a single part is no partition
+        last, j = remaining - used, budget - total
+        if (_k4_minus_edge_set(g, last) if j == 2
+                else _is_nondecomposable_critical(g, last, j)):
+            yield _normalize(parts + family + ((last, j),))
+
+
 def _decomposition_stream(g: SignedGraph, k: Optional[int]
                           ) -> Iterator[Decomposition]:
     """All partitions into non-decomposable critical parts (t >= 2 parts),
@@ -456,36 +487,7 @@ def _decomposition_stream(g: SignedGraph, k: Optional[int]
                     sources[i] = [p for p in large if p[1] == i]
         return sources[j]
 
-    def search(remaining: frozenset, budget: int, parts: tuple
-               ) -> Iterator[Decomposition]:
-        if not remaining:
-            if budget == 0 and len(parts) >= 2:
-                yield _normalize(parts)
-            return
-        if budget <= 0:
-            return
-        e0 = min(remaining)
-        # the part holding e0 is a negative cycle ...
-        for cyc in cycles_by_edge[e0]:
-            if cyc <= remaining:
-                yield from search(remaining - cyc, budget - 1,
-                                  parts + ((cyc, 1),))
-        if budget == 1:
-            return
-        # ... or of index j >= 2 and the last one: what the later parts,
-        # a family avoiding e0, leave over
-        avail = remaining - {e0}
-        members = [p for j in range(1, budget - 1) for p in source(j)
-                   if p[0] <= avail]
-        for used, total, family in _families(members, budget - 2):
-            if not (parts or family):
-                continue  # a single part is no partition
-            last, j = remaining - used, budget - total
-            if (_k4_minus_edge_set(g, last) if j == 2
-                    else _is_nondecomposable_critical(g, last, j)):
-                yield _normalize(parts + family + ((last, j),))
-
-    yield from search(rest, k - len(loops), loops)
+    yield from _search(g, cycles_by_edge, source, rest, k - len(loops), loops)
 
 
 def find_decompositions(g: SignedGraph, k: Optional[int] = None) -> tuple:

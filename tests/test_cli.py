@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from signforge import guards
 from signforge.cli import run
+from signforge.core import parse_sg
+from signforge.criticality import METHODS
+from signforge.errors import SignforgeError
 
 
 def invoke(argv):
@@ -157,3 +165,90 @@ def test_hjoin_edge_id_out_of_range_exits_2(tmp_path, k4_path, capsys):
                     "-o", str(out)]) == 2
         assert "designated edge" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cycle_cap_refusal_exits_3(k4_path, capsys, monkeypatch):
+    monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(guards, "CYCLE_CAP", 3)
+    for command in ("structure", "decompose"):
+        assert run([command, k4_path]) == 3
+        assert capsys.readouterr().err.startswith("guard refusal")
+
+
+def test_negative_enumeration_bound_exits_2(tmp_path, capsys):
+    out = tmp_path / "enum"
+    assert run(["enumerate", "--k", "2", "--max-n", "-1", "--max-edges", "4",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bounds must be")
+    assert not out.exists()
+
+
+SG_JUNK = ["x", "0 1", "0 1 + 2", "0 1 ?", "0 1 +2", "vertex", "vertex 0 1",
+           "# a comment", "0 1 - # trailing", "a b \u2212", "\t0  1\t-",
+           "0: e0.a"]
+ROT_JUNK = ["0 e0.a", "0: e0.c", "0: e99.a", ": e0.a", "0: e0.a e0.a",
+            "x: e1.b", "0 1 +"]
+
+
+@st.composite
+def sg_texts(draw):
+    """Small .sg files, loops and parallel edges included, now and then
+    with an isolated vertex or a malformed line."""
+    n = draw(st.integers(1, 6))
+    lines = [f"{draw(st.integers(0, n - 1))} {draw(st.integers(0, n - 1))} "
+             f"{draw(st.sampled_from('+-'))}"
+             for _ in range(draw(st.integers(0, 9)))]
+    if draw(st.booleans()):
+        lines.append(f"vertex {n}")
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(SG_JUNK)))
+    return "\n".join(lines) + "\n"
+
+
+def rot_text(draw, sg: str) -> str:
+    """A .rot file for sg: each vertex's darts in random order, so some
+    are embeddings and most are not, now and then with a malformed or
+    missing line."""
+    try:
+        g = parse_sg(sg)
+    except SignforgeError:
+        return draw(st.sampled_from(ROT_JUNK)) + "\n"
+    ends = {v: [] for v in g.vertices}
+    for e in g.edges:
+        ends[e.u].append(f"e{e.eid}.a")
+        ends[e.v].append(f"e{e.eid}.b")
+    lines = [f"{v}: " + " ".join(draw(st.permutations(darts)))
+             for v, darts in ends.items()]
+    if lines and draw(st.integers(0, 4)) == 0:
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(ROT_JUNK)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_fuzz_exits_with_a_known_code(tmp_path, data):
+    sg, rot = tmp_path / "g.sg", tmp_path / "g.rot"
+    sg.write_text(data.draw(sg_texts()))
+    rot.write_text(rot_text(data.draw, sg.read_text()))
+    k = str(data.draw(st.integers(-1, 5)))
+    argvs = [["frustration", str(sg)], ["certify", str(sg)],
+             *(["certify", str(sg), "--method", method, "--k", k]
+               for method in METHODS),
+             ["decompose", str(sg)], ["decompose", str(sg), "--k", k],
+             ["reduce", str(sg)], ["structure", str(sg)],
+             ["faces", str(sg), str(rot)],
+             ["faces", str(sg), str(rot), "--k", k]]
+    for argv in argvs:
+        for flags in ([], ["--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = invoke(flags + argv)
+            assert code in (0, 2, 3, 64), (flags + argv, err.getvalue())
+            if flags and out.getvalue():
+                json.loads(out.getvalue())

@@ -243,3 +243,41 @@ def test_canonical_form_of_symmetric_7_vertex_graphs():
         7, (), tuple((a, b, NEG) for a, b in pairs))
     assert canonical_form(build_graph([], isolated=range(7))) == (7, (), ())
     assert time.perf_counter() - start < 1
+
+
+def union_find_components(g):
+    """Components by union-find over the edges, as frozensets in order of
+    their least vertex."""
+    lead = {v: v for v in g.vertices}
+
+    def find(v):
+        while lead[v] != v:
+            v = lead[v]
+        return v
+
+    for e in g.edges:
+        lead[find(e.u)] = find(e.v)
+    groups = {}
+    for v in g.vertices:
+        groups.setdefault(find(v), []).append(v)
+    return tuple(frozenset(vs) for vs in groups.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_components_match_union_find(data):
+    g = data.draw(signed_graphs(max_n=8, max_m=10))
+    edges = [(e.u, e.v, e.sign) for e in g.edges]
+    # extra vertices after g's: isolated ones, and ones with loops only
+    # spliced into the edge list, so they fall between g's vertices
+    isolated = []
+    for x in range(g.n, g.n + data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            isolated.append(x)
+        else:
+            at = data.draw(st.integers(0, len(edges)))
+            edges[at:at] = [(x, x, NEG)] * data.draw(st.integers(1, 2))
+    h = build_graph(edges, isolated=isolated)
+    want = union_find_components(h)
+    assert h.components == want
+    assert h.is_connected == (len(want) == 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from signforge.cycles import enumerate_cycles, negative_cycles
 from signforge.enumeration import (EnumBounds, _pair_list, _raw_candidates,
                                    _raw_to_graph, enumerate_critical,
                                    enumerate_signed_graphs)
+from signforge.errors import PreconditionError
 from signforge.frustration import frustration_by_cover
 from signforge.structure import is_decomposable, is_irreducible
 
@@ -219,3 +221,14 @@ def test_connected_critical_stream_matches_union_find():
                                          if m]) == 1]
     connected = EnumBounds(4, 2, 1, 6, connected_only=True)
     assert list(_raw_candidates(connected, 3)) == want
+
+
+@pytest.mark.parametrize("field", ["max_vertices", "max_multiplicity_per_pair",
+                                   "max_negative_loops_per_vertex",
+                                   "max_edges"])
+def test_negative_bounds_are_a_precondition_error(field):
+    b = dataclasses.replace(EnumBounds(3, 2, 2, 6), **{field: -1})
+    with pytest.raises(PreconditionError, match="non-negative"):
+        enumerate_critical(b, 2)
+    with pytest.raises(PreconditionError, match="non-negative"):
+        list(enumerate_signed_graphs(b))

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -474,3 +475,18 @@ def test_in_s_star_preconditions():
     with pytest.raises(PreconditionError):
         # the positive bridge can be deleted without lowering the index
         in_s_star(build_graph([(0, 0, "-"), (1, 1, "-"), (0, 1, "+")]))
+
+
+@pytest.mark.parametrize("search", [find_decompositions, is_decomposable])
+def test_decomposition_search_leaves_no_garbage(search):
+    # nothing the search builds may outlive the call in a reference cycle
+    g = ghat(4)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        search(g)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
