@@ -10,6 +10,8 @@ manifest.  scripts/build_catalog_data.py regenerates the data files.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -38,32 +40,37 @@ class CatalogEntry:
     tags: tuple
 
 
+@functools.cache
 def _data_root():
     return resources.files("signforge.data")
 
 
-def _manifest() -> list:
-    return json.loads((_data_root() / "catalog.json").read_text())
+@functools.cache
+def _records() -> dict:
+    """name -> manifest record, in manifest order, read once."""
+    return {rec["name"]: rec for rec in
+            json.loads((_data_root() / "catalog.json").read_text())}
 
 
 def names() -> tuple:
-    return tuple(rec["name"] for rec in _manifest())
+    return tuple(_records())
 
 
 def entries_with_tag(tag: str) -> tuple:
-    return tuple(rec["name"] for rec in _manifest() if tag in rec["tags"])
+    return tuple(name for name, rec in _records().items()
+                 if tag in rec["tags"])
 
 
 def get(name: str) -> CatalogEntry:
-    for rec in _manifest():
-        if rec["name"] == name:
-            graph = parse_sg((_data_root() / rec["sg"]).read_text())
-            rot = None
-            if rec.get("rot"):
-                rot = parse_rot((_data_root() / rec["rot"]).read_text())
-            return CatalogEntry(rec["name"], rec["description"], graph, rot,
-                                rec["expected"], tuple(rec["tags"]))
-    raise SignforgeError(f"no catalog entry named {name!r}")
+    """The entry, parsed afresh: it shares nothing with another call."""
+    rec = _records().get(name)
+    if rec is None:
+        raise SignforgeError(f"no catalog entry named {name!r}")
+    graph = parse_sg((_data_root() / rec["sg"]).read_text())
+    rot = (parse_rot((_data_root() / rec["rot"]).read_text())
+           if rec.get("rot") else None)
+    return CatalogEntry(name, rec["description"], graph, rot,
+                        copy.deepcopy(rec["expected"]), tuple(rec["tags"]))
 
 
 def verify(name: str) -> dict:

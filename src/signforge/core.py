@@ -491,8 +491,11 @@ def _labellings(g: SignedGraph, target: tuple = None) -> Iterator[tuple]:
                 yield from search(cells[:i] + [[v], rest] + cells[i + 1:],
                                   path)
 
-    yield from search([[v for v in range(n) if ring_sigs[v] == sig]
-                       for sig in sorted(set(ring_sigs))], ())
+    try:
+        yield from search([[v for v in range(n) if ring_sigs[v] == sig]
+                           for sig in sorted(set(ring_sigs))], ())
+    finally:
+        del search  # it refers to itself; a caller may stop at any leaf
 
 
 def switching_isomorphic(g1: SignedGraph,

@@ -69,25 +69,21 @@ def _pair_list(n: int) -> tuple:
     return tuple(itertools.combinations(range(n), 2))
 
 
-def _assignments(b: EnumBounds, pairs: tuple, budget: int) -> Iterator[tuple]:
-    """(assignment, edges used) for every assignment of (mult, neg) to
-    pairs using at most budget edges, in lexicographic order."""
-    pair_opts = [(m, neg)
-                 for m in range(min(b.max_multiplicity_per_pair, budget) + 1)
-                 for neg in range(m + 1)]
-
-    def assign(i: int, acc: list, used: int) -> Iterator[tuple]:
-        if i == len(pairs):
-            yield tuple(acc), used
-            return
-        for opt in pair_opts:
-            if used + opt[0] > budget:
-                continue
-            acc.append(opt)
-            yield from assign(i + 1, acc, used + opt[0])
-            acc.pop()
-
-    return assign(0, [], 0)
+def _assignments(pair_opts: list, left: int, budget: int, acc: list,
+                 used: int) -> Iterator[tuple]:
+    """(assignment, edges used) for every way to give left more pairs
+    after acc a (mult, neg) of pair_opts, within budget edges in all, in
+    lexicographic order."""
+    if not left:
+        yield tuple(acc), used
+        return
+    for opt in pair_opts:
+        if used + opt[0] > budget:
+            continue
+        acc.append(opt)
+        yield from _assignments(pair_opts, left - 1, budget, acc,
+                                used + opt[0])
+        acc.pop()
 
 
 def _raw_candidates(b: EnumBounds, k: Optional[int] = None) -> Iterator[tuple]:
@@ -95,9 +91,13 @@ def _raw_candidates(b: EnumBounds, k: Optional[int] = None) -> Iterator[tuple]:
     (n, assignment, loops) order; with k, only the critically k-frustrated
     ones (see the module docstring)."""
     need = 1 if k is None else 2  # least degree a vertex needs
+    pair_opts = [(m, neg) for m in range(min(b.max_multiplicity_per_pair,
+                                             b.max_edges) + 1)
+                 for neg in range(m + 1)]
     for n in range(1, b.max_vertices + 1):
         pairs = _pair_list(n)
-        for assignment, used in _assignments(b, pairs, b.max_edges):
+        for assignment, used in _assignments(pair_opts, len(pairs),
+                                             b.max_edges, [], 0):
             # bit runs per bundle, negative edges first; per-vertex masks
             inc = [0] * n
             neg = bit = 0

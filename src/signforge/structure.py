@@ -21,18 +21,20 @@ family F of later parts, which avoid e0 and have indices summing to
 b - j.  F is drawn, once per unordered family, from three sources: the
 negative cycles (index 1), the K4- subdivisions (index 2) and, only
 when b >= 5, a guarded subset search for non-decomposable critical parts
-of index >= 3.  The last part is then tested, not searched for: by a
-linear test (`_k4_minus_edge_set`) at j = 2, and by a criticality check
-and a recursive decomposition search at j >= 3.  The other parts of a
-partition avoid its part through e0, so they are exactly such an F; the
-search is complete at every index and emits each partition once.
+of index >= 3.  The last part is then tested, not searched for: at
+j = 2 by the K4- path search on that edge set alone (`_k4_minus_edge_set`),
+linear since the set needs four vertices of degree 3 and the rest of
+degree 2, which forces every path out of the four; at j >= 3 by a
+criticality check and a recursive decomposition search.  The other parts
+of a partition avoid its part through e0, so they are exactly such an F;
+the search is complete at every index and emits each partition once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import guards
 from .core import NEG, POS, SignedGraph, build_graph
@@ -73,8 +75,8 @@ def _path_systems(adj: dict, quad: tuple) -> Iterator[tuple]:
     such that the four triangle-image cycles are negative.
 
     adj maps each vertex to its allowed non-loop (eid, other end, sign)
-    entries in ascending eid order.  One depth-first search grows the
-    paths in `_PAIR_ORDER`, each by ascending edge ids, on one state: the
+    entries (`_adjacency`).  One depth-first search grows the paths in
+    `_PAIR_ORDER`, each along the order of those entries, on one state: the
     bitmask `used` of the edges on the paths so far, the set `taken` of
     the branch vertices and every inner vertex so far, the stack `steps`
     of (edge id, far end) steps, whose slice from a path's first step is
@@ -119,17 +121,22 @@ def _grow(adj: dict, quad: tuple, taken: set, steps: list, done: list,
             taken.remove(o)
 
 
-def _iter_k4_minus_subdivisions(g: SignedGraph,
-                                allowed: Optional[frozenset] = None
-                                ) -> Iterator[K4MinusSubdivision]:
-    if allowed is None:
-        allowed = frozenset(range(g.m))
+def _adjacency(g: SignedGraph, eids: Iterable[int]) -> dict:
+    """Each vertex's non-loop (eid, other end, sign) entries, in the
+    order of eids."""
     adj: dict = {}
-    for eid in sorted(allowed):
+    for eid in eids:
         e = g.edges[eid]
         if not e.is_loop:
             adj.setdefault(e.u, []).append((eid, e.v, e.sign))
             adj.setdefault(e.v, []).append((eid, e.u, e.sign))
+    return adj
+
+
+def _iter_k4_minus_subdivisions(g: SignedGraph,
+                                allowed: Optional[frozenset] = None
+                                ) -> Iterator[K4MinusSubdivision]:
+    adj = _adjacency(g, range(g.m) if allowed is None else sorted(allowed))
     candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
                         key=g.vindex.__getitem__)
     for quad in itertools.combinations(candidates, 4):
@@ -160,47 +167,25 @@ def k4_minus_subdivision_edge_sets(g: SignedGraph,
 
 
 def _k4_minus_edge_set(g: SignedGraph, es: frozenset) -> bool:
-    """Whether es is the edge set of an all-negative-K4 subdivision.
+    """Whether es is the edge set of an all-negative-K4 subdivision, that
+    is ``es in k4_minus_subdivision_edge_sets(g)``.
 
-    Linear in |es|: no loops, exactly four vertices of degree 3 and the
-    rest of degree 2, the paths traced from the degree-3 vertices through
-    the degree-2 ones join the six distinct pairs and use every edge, and
-    all four triangle images are negative.  Equal to
-    ``es in k4_minus_subdivision_edge_sets(g)``.
+    es needs no loop, four vertices of degree 3 and every other vertex it
+    meets of degree 2, read off the incidence masks, which rejects most
+    sets before any adjacency is built.  Then every path out of the four
+    is forced, `_path_systems` on es alone finds at most one system in
+    linear time, and es is one when that system uses every edge.
     """
-    inc: dict = {}
-    for eid in es:
-        e = g.edges[eid]
-        if e.is_loop:
-            return False
-        inc.setdefault(e.u, []).append(eid)
-        inc.setdefault(e.v, []).append(eid)
-    branch = [v for v, ids in inc.items() if len(ids) == 3]
-    if len(branch) != 4 or any(len(ids) not in (2, 3)
-                               for ids in inc.values()):
+    if not es.isdisjoint(g.loop_edge_ids):
         return False
-    path_sign: dict = {}  # branch pair -> sign; each path is traced twice
-    traced = 0
-    for a in branch:
-        for eid in inc[a]:
-            v, sign = a, POS
-            while True:
-                e = g.edges[eid]
-                v = e.other(v)
-                sign *= e.sign
-                traced += 1
-                if len(inc[v]) == 3:
-                    break
-                first, second = inc[v]
-                eid = second if eid == first else first
-            if v == a:
-                return False
-            path_sign[frozenset((a, v))] = sign
-    if len(path_sign) != 6 or traced != 2 * len(es):
+    mask = sum(1 << eid for eid in es)
+    degree = [(m & mask).bit_count() for m in g.incidence_masks.values()]
+    if degree.count(3) != 4 or degree.count(2) + degree.count(0) != g.n - 4:
         return False
-    return all(path_sign[frozenset((a, b))] * path_sign[frozenset((a, c))]
-               * path_sign[frozenset((b, c))] == NEG
-               for a, b, c in itertools.combinations(branch, 3))
+    adj = _adjacency(g, es)
+    branch = tuple(v for v, entries in adj.items() if len(entries) == 3)
+    system = next(_path_systems(adj, branch), ())
+    return sum(len(eids) for _, eids, _ in system) == len(es)
 
 
 # -- packing vs frustration (subdivision-free equality) --------------------------
@@ -437,7 +422,11 @@ def _search(g: SignedGraph, cycles_by_edge: dict, source: Callable,
     if budget == 1:
         return
     # ... or of index j >= 2 and the last one: what the later parts, a
-    # family avoiding e0, leave over
+    # family avoiding e0, leave over; at budget 2 that family is empty
+    if budget == 2:
+        if parts and _k4_minus_edge_set(g, remaining):
+            yield _normalize(parts + ((remaining, 2),))
+        return
     avail = remaining - {e0}
     members = [p for j in range(1, budget - 1) for p in source(j)
                if p[0] <= avail]

@@ -60,6 +60,17 @@ def test_expected_records_have_core_keys():
             assert key in exp, (name, key)
 
 
+def test_get_hands_out_no_shared_records():
+    name = "g7"
+    first = catalog.get(name)
+    first.expected["ell"] = -1
+    first.expected["planar_face_profile"]["faces"] = -1
+    second = catalog.get(name)
+    assert second.expected["ell"] == 3
+    assert second.expected["planar_face_profile"]["faces"] == 6
+    assert second.graph is not first.graph
+
+
 def _build_script():
     import importlib.util
     import pathlib

@@ -7,7 +7,7 @@ import pytest
 
 from signforge import catalog
 from signforge.constructions import ghat, ghat_decomposition_cycles, ghat_planar, h_join
-from signforge.core import build_graph, cut, cycle_sign, switching_isomorphic
+from signforge.core import build_graph, cut, switching_isomorphic
 from signforge.criticality import METHODS, is_critical
 from signforge.cycles import has_two_edge_disjoint_negative_cycles, packing_number
 from signforge.errors import PreconditionError

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings
 
-from signforge.core import build_graph, cut, switch
+from signforge.core import build_graph, cut
 from signforge.errors import GuardExceeded, PreconditionError
 from signforge.criticality import (METHODS, certify, equilibrated_cut_for_edge,
                                    is_critical)

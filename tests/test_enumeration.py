@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import itertools
 import random
 
 import pytest
 
+from signforge import catalog
 from signforge.core import (build_graph, canonical_form, from_canonical_form,
-                            switch)
+                            switch, switching_isomorphic)
 from signforge.cycles import enumerate_cycles, negative_cycles
 from signforge.enumeration import (EnumBounds, _pair_list, _raw_candidates,
                                    _raw_to_graph, enumerate_critical,
@@ -232,3 +234,23 @@ def test_negative_bounds_are_a_precondition_error(field):
         enumerate_critical(b, 2)
     with pytest.raises(PreconditionError, match="non-negative"):
         list(enumerate_signed_graphs(b))
+
+
+@pytest.mark.parametrize("call", [
+    canonical_form,
+    # abandons the second graph's search after its first leaf
+    lambda g: switching_isomorphic(g, g),
+    lambda g: enumerate_critical(EnumBounds(3, 2, 2, 6), 2),
+], ids=["canonical_form", "switching_isomorphic", "enumerate_critical"])
+def test_class_searches_leave_no_garbage(call):
+    # nothing the searches build may outlive the call in a reference cycle
+    g = catalog.get("g7").graph
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call(g)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

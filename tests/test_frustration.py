@@ -2,9 +2,8 @@ from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from signforge.core import NEG, build_graph, switch
+from signforge.core import build_graph, switch
 from signforge.errors import GuardExceeded
 from signforge.frustration import (all_minimum_signatures, frustration_by_cover, minimum_signature_switch,
                                    frustration_index, is_minimum_signature)

@@ -5,7 +5,7 @@ import pytest
 from signforge import catalog
 from signforge.core import build_graph
 from signforge.errors import EmbeddingError, TheoremViolation
-from signforge.planar import (FaceWalk, RotationSystem, faces, parse_rot,
+from signforge.planar import (RotationSystem, faces, parse_rot,
                               serialize_rot, validate_rotation,
                               verify_planar_critical)
 

@@ -7,12 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signforge import catalog
-from signforge.core import (build_graph, canonical_form, switch,
-                            switching_isomorphic)
+from signforge.core import build_graph, switch, switching_isomorphic
 from signforge.constructions import ghat, ghat_planar, h_join
 from signforge.criticality import is_critical
-from signforge.cycles import (has_two_edge_disjoint_negative_cycles,
-                              negative_cycles)
+from signforge.cycles import negative_cycles
 from signforge import structure
 from signforge.errors import (PreconditionError, SignforgeError,
                               TheoremViolation, UnknownVertexError)
@@ -178,6 +176,26 @@ def test_linear_k4_minus_test_rejects_near_misses():
         full = frozenset(range(g.m))
         assert _k4_minus_edge_set(g, full) == expected, name
         assert (full in k4_minus_subdivision_edge_sets(g)) == expected, name
+
+
+def test_linear_k4_minus_test_near_edge_sets_past_ten_edges():
+    # past the exhaustive edge-subset checks (m <= 10): every K4- edge set,
+    # it less one edge, plus one outside edge, or with one edge swapped
+    # for an outside one
+    graphs = [ghat(2), ghat(3)] + [
+        catalog.get(n).graph
+        for n in ("s3-petersen", "s3-projective",
+                  *catalog.entries_with_tag("P3*"))]
+    for g in graphs:
+        sets = set(k4_minus_subdivision_edge_sets(g))
+        assert sets
+        for es in sets:
+            outside = [e for e in range(g.m) if e not in es]
+            near = [es] + [es - {e} for e in es] + [
+                es | {f} for f in outside] + [
+                es - {e} | {f} for e in es for f in outside]
+            for other in near:
+                assert _k4_minus_edge_set(g, other) == (other in sets)
 
 
 def test_k4_minus_witness_follows_the_search_order():
