@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signforge import catalog
-from signforge.core import build_graph, switch, switching_isomorphic
+from signforge.core import NEG, POS, build_graph, switch, switching_isomorphic
 from signforge.constructions import ghat, ghat_planar, h_join
 from signforge.criticality import is_critical
 from signforge.cycles import negative_cycles
 from signforge import structure
 from signforge.errors import (PreconditionError, SignforgeError,
                               TheoremViolation, UnknownVertexError)
-from signforge.frustration import frustration_index
+from signforge.frustration import frustration_index, minimum_signature_switch
 from signforge.structure import (_k4_minus_edge_set, check_packing_equality,
                                  find_decompositions,
                                  find_k4_minus_subdivision, in_s_star,
@@ -227,6 +227,115 @@ def test_k4_minus_subdivision_counts_on_larger_graphs():
     assert p3 == [2, 5, 4, 4, 6, 6, 4, 8, 4, 8]
     assert count(catalog.get("s3-projective").graph) == 120
     assert count(catalog.get("s3-petersen").graph) == 45
+    assert count(ghat(4)) == 90
+    g = ghat_planar(3)[0]
+    assert count(g) == 0 and find_k4_minus_subdivision(g) is None
+
+    def least_negative_edge(name):
+        gmin = minimum_signature_switch(catalog.get(name).graph)
+        return gmin, min(gmin.negative_edge_ids)
+
+    # a join of two k = 3 entries as criterion 7 builds it, m = 27
+    joined = h_join(*least_negative_edge("k5-minus"),
+                    *least_negative_edge("s3-projective"))
+    assert joined.m == 27 and count(joined) == 664
+
+
+# -- the unpruned K4- path search, an oracle for the prune ---------------------------
+
+# every triangle checked, the implied (3, 4, 5) included
+_ALL_TRIANGLES = ((), (), (), ((0, 1, 3),), ((0, 2, 4),),
+                  ((1, 2, 5), (3, 4, 5)))
+
+
+def _unpruned_subdivisions(g, allowed=None, nodes=None):
+    """The K4- subdivisions inside allowed, in the search order, found by
+    the path search without the prune; appends one entry to nodes, when
+    given, per search node."""
+    adj = structure._adjacency(
+        g, range(g.m) if allowed is None else sorted(allowed))
+    pairs = structure._PAIR_ORDER
+
+    def grow(quad, taken, steps, done, used, pi, v, sign, begin):
+        if nodes is not None:
+            nodes.append(quad)
+        a, b = pairs[pi]
+        y = quad[b]
+        for eid, o, s in adj[v]:
+            if used >> eid & 1:
+                continue
+            if o == y:
+                steps.append((eid, o))
+                path = steps[begin:]
+                done.append((((quad[a], y), tuple(e for e, _ in path),
+                              (quad[a], *[w for _, w in path])), sign * s))
+                if all(done[i][1] * done[j][1] * done[k][1] == NEG
+                       for i, j, k in _ALL_TRIANGLES[pi]):
+                    if pi == 5:
+                        yield tuple(p for p, _ in done)
+                    else:
+                        yield from grow(quad, taken, steps, done,
+                                        used | 1 << eid, pi + 1,
+                                        quad[pairs[pi + 1][0]], POS,
+                                        len(steps))
+                done.pop()
+                steps.pop()
+            elif o not in taken:
+                taken.add(o)
+                steps.append((eid, o))
+                yield from grow(quad, taken, steps, done, used | 1 << eid,
+                                pi, o, sign * s, begin)
+                steps.pop()
+                taken.remove(o)
+
+    candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
+                        key=g.vindex.__getitem__)
+    for quad in combinations(candidates, 4):
+        for system in grow(quad, set(quad), [], [], 0, 0, quad[0], POS, 0):
+            yield structure.K4MinusSubdivision(quad, system)
+
+
+# the first two quadruples, (2, 3, 4, 1) and (2, 3, 4, 0), have no system;
+# the prune cuts nodes of both before the witness on (2, 3, 1, 0)
+_PRUNED_BEFORE_WITNESS = build_graph([
+    (2, 3, "-"), (4, 2, "+"), (4, 3, "-"), (1, 3, "-"), (0, 4, "+"),
+    (0, 3, "+"), (4, 2, "-"), (3, 4, "-"), (0, 1, "+"), (1, 2, "-")])
+
+
+@given(st.one_of(signed_graphs(max_n=7, max_m=14), part_unions(max_m=14)),
+       st.randoms(use_true_random=False))
+@example(_PRUNED_BEFORE_WITNESS, random.Random(0))
+@settings(max_examples=80, deadline=None)
+def test_pruned_k4_minus_search_matches_the_unpruned_oracle(g, rng):
+    assert (list(structure._iter_k4_minus_subdivisions(g))
+            == list(_unpruned_subdivisions(g)))
+    assert find_k4_minus_subdivision(g) == next(_unpruned_subdivisions(g),
+                                                None)
+    allowed = frozenset(e for e in range(g.m) if rng.random() < 0.7)
+    expected = {w.edge_ids for w in _unpruned_subdivisions(g, allowed)}
+    assert k4_minus_subdivision_edge_sets(g, allowed) == tuple(
+        sorted(expected, key=sorted))
+
+
+def test_prune_cuts_the_search(monkeypatch):
+    # the oracle test passes without the prune too; this one does not.
+    # The node counts are deterministic: pinned, they also catch a prune
+    # that loses the direct edges' share of free.
+    grow, nodes = structure._grow, []
+
+    def counted(*args):
+        nodes.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(structure, "_grow", counted)
+    g, oracle_nodes = _PRUNED_BEFORE_WITNESS, []
+    witness = next(_unpruned_subdivisions(g, nodes=oracle_nodes))
+    assert find_k4_minus_subdivision(g) == witness
+    assert (len(nodes), len(oracle_nodes)) == (31, 42)
+    g, nodes[:], oracle_nodes = ghat(1), [], []
+    assert (list(structure._iter_k4_minus_subdivisions(g))
+            == list(_unpruned_subdivisions(g, nodes=oracle_nodes)))
+    assert (len(nodes), len(oracle_nodes)) == (323, 477)
 
 
 def test_packing_equality_without_subdivision():
