@@ -5,7 +5,12 @@ Raw candidates are assignments of (multiplicity, negative count) to each
 vertex pair plus a negative-loop count per vertex.  Positive loops are
 excluded (they affect nothing studied here), as are isolated vertices, so
 vertex count is a class invariant.  One stream, `_raw_candidates`, yields
-them in (n, pair assignment, loops) order.  Each pair assignment becomes
+them in (n, pair assignment, loops) order, with only the switching-least
+pair assignments, which no switching makes lexicographically smaller
+(`_assignments`).  A switching keeps n, the multiplicities, the loops and
+every filter below, so the first candidate of each class in a stream
+over every signing is switching-least: the classes, their order and
+their representatives are the same.  Each pair assignment becomes
 edge bitmasks once (one bit run per bundle, per-vertex incidence masks);
 a vertex whose pair edges give it degree below 1 needs a loop, and so
 does one of degree below 2 when only critical candidates are wanted (a
@@ -69,20 +74,32 @@ def _pair_list(n: int) -> tuple:
     return tuple(itertools.combinations(range(n), 2))
 
 
-def _assignments(pair_opts: list, left: int, budget: int, acc: list,
-                 used: int) -> Iterator[tuple]:
-    """(assignment, edges used) for every way to give left more pairs
-    after acc a (mult, neg) of pair_opts, within budget edges in all, in
-    lexicographic order."""
-    if not left:
+def _assignments(pairs: tuple, pair_opts: list, budget: int, acc: list,
+                 used: int, comp: tuple) -> Iterator[tuple]:
+    """(assignment, edges used) for every switching-least way to give the
+    pairs after acc a (mult, neg) of pair_opts, within budget edges in
+    all, in lexicographic order.
+
+    comp labels the vertices by component of the pairs placed so far that
+    a switching changes (2·neg != mult).  A pair with 2·neg > mult across
+    two components is skipped: switching one of them flips this pair
+    first and gives a smaller assignment.  Any other pair is taken, and
+    an asymmetric one joins its ends' components.  So an assignment comes
+    out iff no switching makes it smaller.
+    """
+    if len(acc) == len(pairs):
         yield tuple(acc), used
         return
-    for opt in pair_opts:
-        if used + opt[0] > budget:
+    u, v = pairs[len(acc)]
+    cu, cv = comp[u], comp[v]
+    for mult, neg in pair_opts:
+        if used + mult > budget or 2 * neg > mult and cu != cv:
             continue
-        acc.append(opt)
-        yield from _assignments(pair_opts, left - 1, budget, acc,
-                                used + opt[0])
+        acc.append((mult, neg))
+        yield from _assignments(
+            pairs, pair_opts, budget, acc, used + mult,
+            comp if 2 * neg == mult or cu == cv
+            else tuple(cu if c == cv else c for c in comp))
         acc.pop()
 
 
@@ -96,8 +113,8 @@ def _raw_candidates(b: EnumBounds, k: Optional[int] = None) -> Iterator[tuple]:
                  for neg in range(m + 1)]
     for n in range(1, b.max_vertices + 1):
         pairs = _pair_list(n)
-        for assignment, used in _assignments(pair_opts, len(pairs),
-                                             b.max_edges, [], 0):
+        for assignment, used in _assignments(pairs, pair_opts, b.max_edges,
+                                             [], 0, tuple(range(n))):
             # bit runs per bundle, negative edges first; per-vertex masks
             inc = [0] * n
             neg = bit = 0
@@ -174,6 +191,8 @@ def enumerate_critical(b: EnumBounds, k: int,
     non_decomposable_only drops decomposable graphs.  Classes come in the
     order of their first raw candidate, (n, pair assignment, loops).
     """
+    if k < 0:
+        raise PreconditionError("k must be non-negative")
     b.check()
 
     def keep(g: SignedGraph) -> bool:

@@ -183,6 +183,14 @@ def test_negative_enumeration_bound_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_enumeration_k_exits_2(tmp_path, capsys):
+    out = tmp_path / "enum"
+    assert run(["enumerate", "--k", "-1", "--max-n", "3", "--max-edges", "4",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: k must be")
+    assert not out.exists()
+
+
 SG_JUNK = ["x", "0 1", "0 1 + 2", "0 1 ?", "0 1 +2", "vertex", "vertex 0 1",
            "# a comment", "0 1 - # trailing", "a b \u2212", "\t0  1\t-",
            "0: e0.a"]
@@ -252,3 +260,32 @@ def test_cli_fuzz_exits_with_a_known_code(tmp_path, data):
             assert code in (0, 2, 3, 64), (flags + argv, err.getvalue())
             if flags and out.getvalue():
                 json.loads(out.getvalue())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_enumerate_fuzz_exits_with_a_known_code(tmp_path, monkeypatch, data):
+    # each bound is -1, accepted but small (n <= 4, m <= 6, so every run
+    # ends quickly) or, for the top two draws, past its guard or huge
+    monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
+
+    def bound(small, past):
+        value = data.draw(st.integers(-1, small + 2))
+        return str(past if value > small else value)
+
+    argv = ["enumerate", "--k", str(data.draw(st.integers(-1, 4))),
+            "--max-n", bound(4, guards.ENUM_MAX_VERTICES + 1),
+            "--max-edges", bound(6, guards.ENUM_MAX_EDGES + 1),
+            "--max-mult", bound(3, 10**9), "--max-loops", bound(2, 10**9),
+            "--out", str(tmp_path / "enum")]
+    argv += [flag for flag in ("--connected", "--irreducible",
+                               "--non-decomposable")
+             if data.draw(st.booleans())]
+    flags = ["--json"] if data.draw(st.booleans()) else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = invoke(flags + argv)
+    assert code in (0, 2, 3, 64), (flags + argv, err.getvalue())
+    if flags and out.getvalue():
+        json.loads(out.getvalue())

@@ -96,14 +96,55 @@ def test_connected_only_filter():
         assert len(g.components) == 1
 
 
+def union_find_components(n, links):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in links:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(n)})
+
+
+def oracle_raw_candidates(b):
+    """Every raw candidate by plain products: all (mult, neg) per pair and
+    all loop vectors, kept when within the edge budget, without isolated
+    vertices and (if asked) connected, sorted by (n, assignment, loops)."""
+    out = []
+    for n in range(1, b.max_vertices + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        opts = [(m, neg) for m in range(b.max_multiplicity_per_pair + 1)
+                for neg in range(m + 1)]
+        for assignment in itertools.product(opts, repeat=len(pairs)):
+            used = sum(m for m, _ in assignment)
+            if used > b.max_edges:
+                continue
+            links = [p for p, (m, _) in zip(pairs, assignment) if m]
+            for loops in itertools.product(
+                    range(b.max_negative_loops_per_vertex + 1), repeat=n):
+                if sum(loops) + used > b.max_edges:
+                    continue
+                touched = {v for v in range(n) if loops[v]}
+                touched.update(v for link in links for v in link)
+                if len(touched) < n:
+                    continue
+                if b.connected_only and union_find_components(n, links) > 1:
+                    continue
+                out.append((n, assignment, loops))
+    return [(n, loops, assignment) for n, assignment, loops in sorted(out)]
+
+
 def brute_force_critical(b, k, irreducible_only=False,
                          non_decomposable_only=False):
-    """Oracle for enumerate_critical: every raw candidate, in order, kept
-    when a minimum negative-cycle cover has size k and every single-edge
-    deletion leaves one of size k - 1; then the same filters and the same
-    first-member-wins dedupe."""
+    """Oracle for enumerate_critical: every candidate of the full
+    product, in order, kept when a minimum negative-cycle cover has size
+    k and every single-edge deletion leaves one of size k - 1; then the
+    same filters and the same first-member-wins dedupe."""
     seen, out = set(), []
-    for n, loops, assignment in _raw_candidates(b):
+    for n, loops, assignment in oracle_raw_candidates(b):
         g = _raw_to_graph(n, loops, _pair_list(n), assignment)
         if frustration_by_cover(g) != k or not all(
                 frustration_by_cover(g.delete_edges([e.eid])) == k - 1
@@ -152,42 +193,16 @@ def test_bounds_beyond_the_edge_budget_change_nothing():
         list(enumerate_signed_graphs(EnumBounds(3, 4, 4, 4)))
 
 
-def union_find_components(n, links):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for u, v in links:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(n)})
-
-
-def oracle_raw_candidates(b):
-    """Every raw candidate by plain products: all (mult, neg) per pair and
-    all loop vectors, kept when within the edge budget, without isolated
-    vertices and (if asked) connected, sorted by (n, assignment, loops)."""
-    out = []
-    for n in range(1, b.max_vertices + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        opts = [(m, neg) for m in range(b.max_multiplicity_per_pair + 1)
-                for neg in range(m + 1)]
-        for assignment in itertools.product(opts, repeat=len(pairs)):
-            links = [p for p, (m, _) in zip(pairs, assignment) if m]
-            for loops in itertools.product(
-                    range(b.max_negative_loops_per_vertex + 1), repeat=n):
-                if sum(loops) + sum(m for m, _ in assignment) > b.max_edges:
-                    continue
-                touched = {v for v in range(n) if loops[v]}
-                touched.update(v for link in links for v in link)
-                if len(touched) < n:
-                    continue
-                if b.connected_only and union_find_components(n, links) > 1:
-                    continue
-                out.append((n, assignment, loops))
-    return [(n, loops, assignment) for n, assignment, loops in sorted(out)]
+def switching_least(n, assignment):
+    """Whether no switching of the pair assignment is lexicographically
+    smaller, by trying all 2^n vertex sets."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for s in range(1 << n):
+        switched = tuple((m, m - neg) if (s >> u ^ s >> v) & 1 else (m, neg)
+                         for (u, v), (m, neg) in zip(pairs, assignment))
+        if switched < assignment:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("bounds", [
@@ -197,10 +212,14 @@ def oracle_raw_candidates(b):
     EnumBounds(3, 2, 0, 6),
     EnumBounds(3, 1, 1, 6, connected_only=True),
     EnumBounds(4, 1, 0, 3, connected_only=True),
+    EnumBounds(4, 3, 1, 6),
 ])
 def test_raw_candidates_match_oracle(bounds):
+    # the stream is the switching-least part of the full product, and the
+    # classes of the full product, first member wins, are unchanged
     want = oracle_raw_candidates(bounds)
-    assert list(_raw_candidates(bounds)) == want
+    assert list(_raw_candidates(bounds)) == \
+        [c for c in want if switching_least(c[0], c[2])]
     seen, classes = set(), []
     for n, loops, assignment in want:
         key = canonical_form(_raw_to_graph(n, loops, _pair_list(n),
@@ -234,6 +253,11 @@ def test_negative_bounds_are_a_precondition_error(field):
         enumerate_critical(b, 2)
     with pytest.raises(PreconditionError, match="non-negative"):
         list(enumerate_signed_graphs(b))
+
+
+def test_negative_k_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="non-negative"):
+        enumerate_critical(EnumBounds(3, 2, 2, 6), -1)
 
 
 @pytest.mark.parametrize("call", [
