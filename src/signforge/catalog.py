@@ -18,10 +18,9 @@ from importlib import resources
 from typing import Optional
 
 from .core import SignedGraph, parse_sg
-from .criticality import METHODS, is_critical
+from .criticality import METHODS, certify, is_critical
 from .cycles import has_two_edge_disjoint_negative_cycles
 from .errors import SignforgeError
-from .frustration import frustration_index
 from .planar import RotationSystem, parse_rot, verify_planar_critical
 from .structure import is_decomposable, is_irreducible
 
@@ -85,9 +84,10 @@ def verify_record(name: str, g: SignedGraph,
     if given); raise CatalogMismatch, naming name, on any difference."""
     got: dict = {}
 
-    got["ell"] = frustration_index(g).index
-    k = got["ell"]
-    got["critical"] = all(is_critical(g, k, m) for m in METHODS)
+    first = certify(g, method=METHODS[0])  # the index and a verdict
+    k = got["ell"] = first.k
+    got["critical"] = first.critical and all(
+        is_critical(g, k, m) for m in METHODS[1:])
     got["irreducible"] = is_irreducible(g)
     got["decomposable"] = is_decomposable(g, k)
     if got["critical"] and got["irreducible"]:

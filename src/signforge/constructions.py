@@ -29,8 +29,7 @@ def ghat(t: int) -> SignedGraph:
     """
     if t < 0:
         raise PreconditionError("t must be >= 0")
-    a = [f"a{i}" for i in range(1, t + 1)]
-    b = [f"b{i}" for i in range(1, t + 1)]
+    a, b, alternating = _ladder_sequences(t)
     edges = [("x", "y", POS), ("w", "z", POS),
              ("x", "w", NEG), ("y", "z", NEG), ("y", "z", NEG)]
 
@@ -39,23 +38,25 @@ def ghat(t: int) -> SignedGraph:
 
     edges += path(["x"] + a + ["z"])
     edges += path(["y"] + b + ["w"])
-    alternating = ["x"]
-    for ai, bi in zip(a, b):
-        alternating += [bi, ai]
-    alternating += ["w"]
     edges += path(alternating)
     return build_graph(edges)
 
 
-def ghat_decomposition_cycles(t: int) -> tuple:
-    """The three negative cycles partitioning the edges of ghat(t), as
-    vertex sequences (closed walks)."""
+def _ladder_sequences(t: int) -> tuple:
+    """(a1..at, b1..bt, the x, b1, a1, ..., bt, at, w path): the sequences
+    both ghat(t) and its decomposition cycles are built on."""
     a = [f"a{i}" for i in range(1, t + 1)]
     b = [f"b{i}" for i in range(1, t + 1)]
     alternating = ["x"]
     for ai, bi in zip(a, b):
         alternating += [bi, ai]
-    alternating += ["w"]
+    return a, b, alternating + ["w"]
+
+
+def ghat_decomposition_cycles(t: int) -> tuple:
+    """The three negative cycles partitioning the edges of ghat(t), as
+    vertex sequences (closed walks)."""
+    a, b, alternating = _ladder_sequences(t)
     return (
         tuple(alternating + ["x"]),                 # negative x-w copy + long path
         tuple(["x", "y", "z"] + list(reversed(a)) + ["x"]),  # one y-z copy

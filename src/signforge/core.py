@@ -53,6 +53,11 @@ class Edge:
         return frozenset((self.u, self.v))
 
 
+def _bits(mask: int) -> list:
+    """The positions of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _mask_components(masks: Iterable[int]) -> list:
     """Indices grouped by shared mask bits, directly or through other
     masks, each group ascending and the groups by least index; a mask of 0
@@ -549,6 +554,13 @@ def from_canonical_form(key: tuple) -> SignedGraph:
 
 # -- .sg text format ------------------------------------------------------------
 
+def _content_lines(text: str) -> Iterator[tuple]:
+    """(number from 1, line) of each line of text left non-blank once its
+    `#` comment is cut off and it is stripped: the .sg and .rot line loop."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return ((ln, line) for ln, line in enumerate(lines, start=1) if line)
+
+
 def parse_sg(text: str) -> SignedGraph:
     """Parse the .sg edge-list format.
 
@@ -557,10 +569,7 @@ def parse_sg(text: str) -> SignedGraph:
     """
     edge_list = []
     isolated = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "vertex":
             if len(parts) != 2:

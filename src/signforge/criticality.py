@@ -15,7 +15,10 @@ deleting any single edge drops the index to k-1.  Three checks:
                 and negative boundary edges).  Switching at such a cut
                 keeps the signature minimum while making the edge
                 negative, so this is the signature test in disguise.  One
-                pass over the cut sides serves every positive edge.
+                pass over the cut sides serves every positive edge.  The
+                minimum signature is the scan's negative-edge mask, and
+                each cut witness is read off the boundary mask the pass
+                XORs, so no switched graph is built.
 
 All three agree; the oracle tests exercise that agreement on random
 inputs.  Each returns per-edge witnesses for independent re-checking.
@@ -30,9 +33,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import guards
-from .core import NEG, EdgeCut, SignedGraph, cut, switch
+from .core import EdgeCut, SignedGraph, _bits
 from .errors import PreconditionError
-from .frustration import (_component_scans, _frustration, _loop_baseline,
+from .frustration import (_component_scans, _minimizer, _negative_loops,
                           _signatures)
 
 
@@ -48,14 +51,16 @@ class CriticalityCertificate:
                 "method": self.method, "details": self.details}
 
 
-def _first_equilibrated_sides(g: SignedGraph, eids: Iterable[int]) -> dict:
-    """eid -> side of the smallest, then lex-least, equilibrated cut
-    containing that edge; edges in no equilibrated cut are left out.
+def _first_equilibrated_cuts(g: SignedGraph, eids: Iterable[int],
+                             neg: int) -> dict:
+    """eid -> the smallest, then lex-least, equilibrated cut containing
+    that edge, when the edges in mask neg are the negative ones; edges in
+    no equilibrated cut are left out.
 
     Only one side of each cut is scanned: the side containing the least
     vertex, in (size, itertools.combinations) order.  A side's boundary is
-    the XOR of its vertices' incidence masks.  One pass serves every edge
-    and stops once each has its side.
+    the XOR of its vertices' incidence masks, and its cut is read off that
+    mask.  One pass serves every edge and stops once each has its cut.
     """
     guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
                  "equilibrated cut search")
@@ -66,7 +71,6 @@ def _first_equilibrated_sides(g: SignedGraph, eids: Iterable[int]) -> dict:
     anchor, *rest = g.vertices
     masks = [g.incidence_masks[v] for v in rest]
     first = g.incidence_masks[anchor]
-    neg = g.negative_mask
     for r in range(len(rest) + 1):
         for combo in itertools.combinations(range(len(rest)), r):
             b = functools.reduce(operator.xor, map(masks.__getitem__, combo),
@@ -74,12 +78,11 @@ def _first_equilibrated_sides(g: SignedGraph, eids: Iterable[int]) -> dict:
             hit = b & open_mask
             if not hit or 2 * (b & neg).bit_count() != b.bit_count():
                 continue
-            side = frozenset([anchor, *map(rest.__getitem__, combo)])
+            half = b.bit_count() // 2
+            found.update(dict.fromkeys(_bits(hit), EdgeCut(
+                frozenset([anchor, *map(rest.__getitem__, combo)]),
+                frozenset(_bits(b)), half, half)))
             open_mask ^= hit
-            while hit:
-                low = hit & -hit
-                found[low.bit_length() - 1] = side
-                hit ^= low
             if not open_mask:
                 return found
     return found
@@ -94,47 +97,35 @@ def equilibrated_cut_for_edge(g: SignedGraph, eid: int) -> Optional[EdgeCut]:
     if not 0 <= eid < g.m:
         raise PreconditionError(f"edge {eid} is not an edge id "
                                 f"(0..{g.m - 1})")
-    side = _first_equilibrated_sides(g, [eid]).get(eid)
-    return None if side is None else cut(g, side)
+    return _first_equilibrated_cuts(g, [eid], g.negative_mask).get(eid)
 
 
 def _certify_deletion(g: SignedGraph, k: int, scans: list) -> tuple:
-    # edges negative in some minimum switching
-    lowered = functools.reduce(operator.or_, (s[3] for s in scans), 0)
-    drops = {}
-    for e in g.edges:
-        drop = (e.sign == NEG) if e.is_loop else bool(lowered >> e.eid & 1)
-        drops[e.eid] = k - 1 if drop else k
+    # the edges negative in some minimum switching, negative loops included
+    lowered = functools.reduce(operator.or_,
+                               (neg for s in scans for neg in s[3]),
+                               _negative_loops(g))
+    drops = {eid: k - 1 if lowered >> eid & 1 else k for eid in range(g.m)}
     critical = all(sub == k - 1 for sub in drops.values())
     return critical, {"index_after_deletion": drops}
 
 
 def _certify_signatures(g: SignedGraph, k: int, scans: list) -> tuple:
-    # the signatures are a product over the components, so g.n bounds them
-    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
-                 "minimum-signature enumeration")
     sigs = _signatures(g, scans)
-    witness = {}
-    critical = True
-    for e in g.edges:
-        hit = next((s for s in sigs if e.eid in s), None)
-        witness[e.eid] = list(hit) if hit is not None else None
-        if hit is None:
-            critical = False
-    return critical, {"negative_in_signature": witness}
+    witness = {eid: next((list(s) for s in sigs if eid in s), None)
+               for eid in range(g.m)}
+    return None not in witness.values(), {"negative_in_signature": witness}
 
 
 def _certify_cuts(g: SignedGraph, k: int, scans: list) -> tuple:
-    switch_set = _frustration(g, scans).switch_set
-    gmin = switch(g, switch_set)
+    switch_set, neg = _minimizer(g, scans)
     # edges already negative in the minimum signature need no cut
-    positive = [e.eid for e in gmin.edges if e.sign != NEG]
-    sides = _first_equilibrated_sides(gmin, positive)
-    cuts = {eid: cut(gmin, sides[eid]).to_json(gmin) if eid in sides else None
-            for eid in positive}
-    return len(sides) == len(positive), {
+    positive = [eid for eid in range(g.m) if not neg >> eid & 1]
+    cuts = _first_equilibrated_cuts(g, positive, neg)
+    return len(cuts) == len(positive), {
         "minimum_switch_set": sorted(map(str, switch_set)),
-        "equilibrated_cuts": cuts}
+        "equilibrated_cuts": {eid: cuts[eid].to_json(g) if eid in cuts
+                              else None for eid in positive}}
 
 
 _CERTIFIERS = {"deletion": _certify_deletion,
@@ -152,10 +143,11 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; use one of {METHODS}")
-    # one scan per component gives the index and every ℓ(G-e), every
-    # minimum signature, or the lex-least minimum switching
+    # one scan per component gives the index, and its minimizers'
+    # negative-edge masks give every ℓ(G-e), every minimum signature, or
+    # the lex-least minimum signature
     scans = _component_scans(g)
-    index = _loop_baseline(g) + sum(s[1] for s in scans)
+    index = _negative_loops(g).bit_count() + sum(s[1] for s in scans)
     if k is None:
         k = index
     if index != k or k == 0:

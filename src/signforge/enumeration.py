@@ -22,9 +22,10 @@ With a k, the stream keeps only the critically k-frustrated candidates,
 through the switching kernel of `frustration`: each pair assignment is
 scanned once by `_walk`, whatever its loops.  Deleting a pair edge lowers
 the index exactly when the edge is negative in some minimum switching
-(the kernel's OR-mask), and deleting a negative loop always does, so an
-assignment gives critical candidates only when its OR-mask covers every
-pair edge, and then exactly those whose loops number k minus its index.
+(the OR of its minimizers' negative-edge masks, as `_walk` returns
+them), and deleting a negative loop always does, so an assignment gives
+critical candidates only when that OR covers every pair edge, and then
+exactly those whose loops number k minus its index.
 
 One class loop sits behind both enumerations: candidates that pass the
 filters go through a canonical-form filter (`core.canonical_form`, an
@@ -133,9 +134,12 @@ def _raw_candidates(b: EnumBounds, k: Optional[int] = None) -> Iterator[tuple]:
                 continue
             least, most = 0, room  # bounds on the loop total
             if k is not None:
-                index, _, neg_or = _walk(inc[1:], neg)  # vertex 0 pinned
+                index, _, negs = _walk(inc[1:], neg)  # vertex 0 pinned
                 least = most = k - index
-                if neg_or != (1 << bit) - 1 or not sum(low) <= most <= room:
+                lowered = 0  # the edges negative in some minimum switching
+                for mask in negs:
+                    lowered |= mask
+                if lowered != (1 << bit) - 1 or not sum(low) <= most <= room:
                     continue
             top = min(b.max_negative_loops_per_vertex, most)
             for loops in itertools.product(*(range(lo, top + 1)

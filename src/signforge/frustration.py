@@ -9,11 +9,11 @@ one vertex.  Edge sets are ints with bit eid per edge, and every vertex
 keeps the mask of its incident non-loop edges, so a step is one XOR of
 the negative-edge mask with that vertex's mask and one popcount.
 
-For each component the kernel returns the minimum, every minimizing
-switch mask, and the OR of the negative-edge masks those switchings
-induce.  The index, its lex-least witness, all minimum signatures and the
-deletion and signature certificates in `criticality` are all read from
-that one pass.  The Gray-code loop itself, `_walk`, takes raw masks, so
+For each component the kernel returns the minimum and every minimizing
+switch mask, each next to the negative-edge mask it induces.  The index
+and its witness edges, all minimum signatures (a product of those masks)
+and the certificates in `criticality` are read off them, with no switched
+graph built.  The Gray-code loop itself, `_walk`, takes raw masks, so
 `enumeration` runs it on masks built straight from its integer encoding.
 
 Negative loops are unswitchable and each contributes exactly 1; positive
@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 from . import guards
-from .core import NEG, SignedGraph, switch
+from .core import NEG, SignedGraph, _bits, switch
 
 
 @dataclass(frozen=True)
@@ -50,25 +51,23 @@ def _walk(inc: list, neg: int) -> tuple:
     inc[i] is the incidence mask of the i-th free vertex and neg the
     negative-edge mask to start from; the pinned vertex is implicit.
     Bit i of a switch mask switches the i-th free vertex.  Returns
-    (minimum, masks, neg_or): the least popcount of the negative-edge mask
+    (minimum, masks, negs): the least popcount of the negative-edge mask
     over all 2^len(inc) switchings, every switch mask reaching it (in
-    Gray-code order, starting from the empty switching), and the OR of the
-    negative-edge masks those switchings induce.
+    Gray-code order, starting from the empty switching), and next to each,
+    at the same position in negs, the negative-edge mask it induces.
     """
     best = neg.bit_count()
-    masks = [0]
-    neg_or = neg
+    masks, negs = [0], [neg]
     for step in range(1, 1 << len(inc)):
         neg ^= inc[(step & -step).bit_length() - 1]
         count = neg.bit_count()
         if count <= best:
             if count < best:
                 best = count
-                masks = []
-                neg_or = 0
+                masks, negs = [], []
             masks.append(step ^ (step >> 1))
-            neg_or |= neg
-    return best, masks, neg_or
+            negs.append(neg)
+    return best, masks, negs
 
 
 def _scan(g: SignedGraph, comp: frozenset) -> tuple:
@@ -77,7 +76,7 @@ def _scan(g: SignedGraph, comp: frozenset) -> tuple:
 
     The anchor is the component's first vertex in vertex order; the other
     c-1 vertices, in vertex order, are `free`, and bit i of a switch mask
-    switches free[i].  Returns (free, minimum, masks, neg_or) for the
+    switches free[i].  Returns (free, minimum, masks, negs) for the
     component's non-loop edges.
     """
     anchor, *free = sorted(comp, key=g.vindex.__getitem__)
@@ -88,11 +87,6 @@ def _scan(g: SignedGraph, comp: frozenset) -> tuple:
     return (free, *_walk(inc, g.negative_mask & edges))
 
 
-def _switch_set(free: list, mask: int) -> frozenset:
-    """The vertex set a switch mask of `_scan` stands for."""
-    return frozenset(v for i, v in enumerate(free) if mask >> i & 1)
-
-
 def _component_scans(g: SignedGraph) -> list:
     """`_scan` of every component, in component order, under the switching
     guard; the scan is exponential in the largest component only."""
@@ -101,8 +95,21 @@ def _component_scans(g: SignedGraph) -> list:
     return [_scan(g, comp) for comp in g.components]
 
 
-def _loop_baseline(g: SignedGraph) -> int:
-    return sum(1 for eid in g.loop_edge_ids if g.edges[eid].sign == NEG)
+def _negative_loops(g: SignedGraph) -> int:
+    """The mask of the negative loops, which no switching changes."""
+    return sum(1 << e for e in g.loop_edge_ids if g.edges[e].sign == NEG)
+
+
+def _minimizer(g: SignedGraph, scans: list) -> tuple:
+    """`frustration_index`'s witness read from the components' `_scan`s,
+    as (switch set, negative-edge mask)."""
+    full, neg = frozenset(), _negative_loops(g)
+    for free, _, masks, negs in scans:
+        sets = [[v for j, v in enumerate(free) if m >> j & 1] for m in masks]
+        i = min(range(len(sets)), key=lambda i: sorted(map(str, sets[i])))
+        full |= frozenset(sets[i])
+        neg |= negs[i]
+    return full, neg
 
 
 def frustration_index(g: SignedGraph) -> FrustrationResult:
@@ -113,20 +120,8 @@ def frustration_index(g: SignedGraph) -> FrustrationResult:
     vertex strings).  The reported negative edge ids are those of
     switch(g, switch_set).
     """
-    return _frustration(g, _component_scans(g))
-
-
-def _frustration(g: SignedGraph, scans: list) -> FrustrationResult:
-    """`frustration_index` read from the components' `_scan`s."""
-    total = _loop_baseline(g)
-    full = frozenset()
-    for free, best, masks, _ in scans:
-        total += best
-        names = [str(v) for v in free]
-        least = min(masks, key=lambda m: sorted(
-            [s for i, s in enumerate(names) if m >> i & 1]))
-        full |= _switch_set(free, least)
-    return FrustrationResult(total, full, switch(g, full).negative_edge_ids)
+    full, neg = _minimizer(g, _component_scans(g))
+    return FrustrationResult(neg.bit_count(), full, frozenset(_bits(neg)))
 
 
 def all_minimum_signatures(g: SignedGraph) -> tuple:
@@ -135,21 +130,22 @@ def all_minimum_signatures(g: SignedGraph) -> tuple:
     Returned sorted lexicographically.  Distinct switch sets can induce
     the same negative edge set; duplicates are collapsed.
     """
+    return _signatures(g)
+
+
+def _signatures(g: SignedGraph, scans: Optional[list] = None) -> tuple:
+    """`all_minimum_signatures` read off the components' `_scan`s (made
+    after the guard if not given): a minimizer's mask per component."""
     # the answer is a product over the components, so g.n bounds it
     guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
                  "minimum-signature enumeration")
-    return _signatures(g, _component_scans(g))
-
-
-def _signatures(g: SignedGraph, scans: list) -> tuple:
-    """`all_minimum_signatures` read from the components' `_scan`s."""
-    per_comp = [[_switch_set(free, m) for m in masks]
-                for free, _, masks, _ in scans]
-    out = set()
-    for combo in itertools.product(*per_comp):
-        full = frozenset().union(*combo)
-        out.add(tuple(sorted(switch(g, full).negative_edge_ids)))
-    return tuple(sorted(out))
+    if scans is None:
+        scans = _component_scans(g)
+    loops = _negative_loops(g)
+    # the components' masks are disjoint, so their sum is their union
+    out = {sum(combo, loops)
+           for combo in itertools.product(*(s[3] for s in scans))}
+    return tuple(sorted(tuple(_bits(neg)) for neg in out))
 
 
 def minimum_signature_switch(g: SignedGraph) -> SignedGraph:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import NEG, SignedGraph
+from .core import NEG, SignedGraph, _content_lines
 from .criticality import is_critical
 from .errors import EmbeddingError, PreconditionError, TheoremViolation
 from .frustration import minimum_signature_switch
@@ -172,10 +172,7 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
 def parse_rot(text: str) -> RotationSystem:
     """Parse the .rot format: `v: e0.a e3.b ...` per vertex, clockwise."""
     rotation = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _content_lines(text):
         if ":" not in line:
             raise EmbeddingError(f"line {ln}: expected `v: darts...`")
         vtok, dpart = line.split(":", 1)

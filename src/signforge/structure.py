@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import guards
 from .core import NEG, POS, SignedGraph, build_graph
-from .criticality import is_critical
+from .criticality import certify
 from .cycles import (has_two_edge_disjoint_negative_cycles,
                      max_edge_disjoint_negative_cycles, negative_cycles)
 from .errors import PreconditionError, TheoremViolation
@@ -378,11 +378,9 @@ def in_s_star(g: SignedGraph, k: Optional[int] = None) -> bool:
     """
     if not is_irreducible(g):
         raise PreconditionError("graph is reducible")
-    ell = frustration_index(g).index
-    if k is None:
-        k = ell
-    if ell != k or not is_critical(g, k):
-        raise PreconditionError(f"graph is not critically {k}-frustrated")
+    cert = certify(g, k)  # k defaults to the index, read off the same scan
+    if not cert.critical:
+        raise PreconditionError(f"graph is not critically {cert.k}-frustrated")
     return not has_two_edge_disjoint_negative_cycles(g)
 
 
@@ -407,11 +405,14 @@ def _normalize(parts) -> Decomposition:
     return Decomposition(tuple(sorted(parts, key=lambda p: (p[1], sorted(p[0])))))
 
 
-def _is_nondecomposable_critical(g: SignedGraph, part: frozenset, k: int) -> bool:
+def _critical_part(g: SignedGraph, part: frozenset, lo: int, hi: int) -> int:
+    """The index j of g restricted to part if lo <= j <= hi, the part is
+    critically j-frustrated and it has no decomposition; else 0.  One
+    `certify` scan gives both the index and the verdict."""
     sub = g.restrict(part)
-    # is_critical(sub, k) already fails unless k is the index of sub
-    return is_critical(sub, k) and not any(
-        True for _ in _decomposition_stream(sub, k))
+    cert = certify(sub)
+    return cert.k if lo <= cert.k <= hi and cert.critical and not any(
+        True for _ in _decomposition_stream(sub, cert.k)) else 0
 
 
 def _large_parts(g: SignedGraph, edges: frozenset, top: int,
@@ -434,8 +435,8 @@ def _large_parts(g: SignedGraph, edges: frozenset, top: int,
         if cover != s:
             continue
         es = frozenset(e for e in ids if bit[e] & s)
-        j = frustration_index(g.restrict(es)).index
-        if 3 <= j <= top and _is_nondecomposable_critical(g, es, j):
+        j = _critical_part(g, es, 3, top)
+        if j:
             out.append((es, j))
     return sorted(out, key=lambda p: (p[1], sorted(p[0])))
 
@@ -489,7 +490,7 @@ def _search(g: SignedGraph, cycles_by_edge: dict, source: Callable,
             continue  # a single part is no partition
         last, j = remaining - used, budget - total
         if (_k4_minus_edge_set(g, last) if j == 2
-                else _is_nondecomposable_critical(g, last, j)):
+                else _critical_part(g, last, j, j)):
             yield _normalize(parts + family + ((last, j),))
 
 

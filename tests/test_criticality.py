@@ -3,11 +3,14 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings
 
+from signforge import catalog, core, criticality, frustration
 from signforge.core import build_graph, cut
 from signforge.errors import GuardExceeded, PreconditionError
 from signforge.criticality import (METHODS, certify, equilibrated_cut_for_edge,
                                    is_critical)
-from signforge.frustration import frustration_index, minimum_signature_switch
+from signforge.frustration import (all_minimum_signatures, frustration_index,
+                                   minimum_signature_switch)
+from signforge.structure import in_s_star
 
 from strategies import signed_graphs
 from test_frustration import brute_force_index
@@ -167,3 +170,42 @@ def test_signature_certificate_is_guarded_on_n_after_the_index(monkeypatch):
     # a k that is not the index is refuted before the guard is reached
     assert certify(g, 2, method="signatures").details == {
         "frustration_index": 1}
+
+
+def two_triangles():
+    return build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-"),
+                        (3, 4, "-"), (4, 5, "-"), (5, 3, "-")])
+
+
+def test_one_walk_per_question(monkeypatch):
+    walks = []
+    walk = frustration._walk
+
+    def counted(inc, neg):
+        walks.append(len(inc))
+        return walk(inc, neg)
+
+    monkeypatch.setattr(frustration, "_walk", counted)
+    g = catalog.get("s3-petersen").graph  # connected: one component scan
+    assert in_s_star(g)
+    assert len(walks) == 1
+    for method in METHODS:
+        walks.clear()
+        assert certify(g, method=method).critical
+        assert len(walks) == 1
+
+
+def test_answers_are_read_off_the_masks_not_switched_graphs(monkeypatch):
+    graphs = [catalog.get("k5-minus").graph, two_triangles()]
+    calls = [frustration_index, all_minimum_signatures]
+    calls += [lambda g, m=m: certify(g, method=m) for m in METHODS]
+    expected = [[f(g) for f in calls] for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("switched graph or cut built")
+
+    for mod in (core, frustration, criticality):
+        for name in ("switch", "cut"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    assert [[f(g) for f in calls] for g in graphs] == expected

@@ -31,8 +31,10 @@ def test_known_values():
     assert frustration_index(balanced).index == 0
 
 
-def test_witness_is_achieving():
-    g = build_graph([(u, v, "-") for u in range(4) for v in range(u)])
+@given(signed_graphs(max_n=6, max_m=10))
+@settings(max_examples=80, deadline=None)
+def test_witness_is_achieving(g):
+    # core.switch is the oracle for the witness edges read off the scan
     r = frustration_index(g)
     switched = switch(g, r.switch_set)
     assert switched.negative_edge_ids == r.negative_edge_ids

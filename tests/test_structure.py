@@ -559,8 +559,8 @@ def test_pinned_examples_above_index_4_have_their_kinds():
 
 def test_loop_bouquet_splits_into_its_loops_without_part_tests(monkeypatch):
     calls = []
-    tested = structure._is_nondecomposable_critical
-    monkeypatch.setattr(structure, "_is_nondecomposable_critical",
+    tested = structure._critical_part
+    monkeypatch.setattr(structure, "_critical_part",
                         lambda *args: calls.append(args) or tested(*args))
     ds = find_decompositions(build_graph([(0, 0, "-")] * 12))
     assert len(ds) == 1 and ds[0].kind == (1,) * 12
