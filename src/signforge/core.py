@@ -256,7 +256,7 @@ class EdgeCut:
     def equilibrated(self) -> bool:
         return self.pos_count == self.neg_count
 
-    def to_json(self, g: SignedGraph) -> dict:
+    def to_json(self) -> dict:
         return {
             "side": sorted(map(str, self.side)),
             "boundary": sorted(self.boundary),

@@ -9,16 +9,16 @@ deleting any single edge drops the index to k-1.  Three checks:
                 component; otherwise the index stays k.  So one switching
                 scan (the OR of the minimizers' negative-edge masks) gives
                 every ℓ(G-e), with no rescans;
-* signatures -- every edge is negative in some minimum signature;
+* signatures -- every edge is negative in some minimum signature, made
+                of one minimizer's mask per component;
 * cuts       -- after switching to a minimum signature, every positive
                 edge lies in some equilibrated cut (equally many positive
                 and negative boundary edges).  Switching at such a cut
                 keeps the signature minimum while making the edge
-                negative, so this is the signature test in disguise.  One
-                pass over the cut sides serves every positive edge.  The
-                minimum signature is the scan's negative-edge mask, and
-                each cut witness is read off the boundary mask the pass
-                XORs, so no switched graph is built.
+                negative, so this is the signature test in disguise.  The
+                cuts are read off the walk's minimizers: switching the
+                chosen one into another is an equilibrated cut, whose
+                boundary is the XOR of their negative-edge masks.
 
 All three agree; the oracle tests exercise that agreement on random
 inputs.  Each returns per-edge witnesses for independent re-checking.
@@ -30,13 +30,12 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import guards
 from .core import EdgeCut, SignedGraph, _bits
 from .errors import PreconditionError
-from .frustration import (_component_scans, _minimizer, _negative_loops,
-                          _signatures)
+from .frustration import _component_scans, _minimizer, _negative_loops
 
 
 @dataclass(frozen=True)
@@ -51,53 +50,84 @@ class CriticalityCertificate:
                 "method": self.method, "details": self.details}
 
 
-def _first_equilibrated_cuts(g: SignedGraph, eids: Iterable[int],
-                             neg: int) -> dict:
-    """eid -> the smallest, then lex-least, equilibrated cut containing
-    that edge, when the edges in mask neg are the negative ones; edges in
-    no equilibrated cut are left out.
-
-    Only one side of each cut is scanned: the side containing the least
-    vertex, in (size, itertools.combinations) order.  A side's boundary is
-    the XOR of its vertices' incidence masks, and its cut is read off that
-    mask.  One pass serves every edge and stops once each has its cut.
-    """
-    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
-                 "equilibrated cut search")
-    open_mask = sum(1 << eid for eid in eids if not g.edges[eid].is_loop)
-    if not open_mask:
-        return {}
-    found = {}
-    anchor, *rest = g.vertices
-    masks = [g.incidence_masks[v] for v in rest]
-    first = g.incidence_masks[anchor]
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(range(len(rest)), r):
-            b = functools.reduce(operator.xor, map(masks.__getitem__, combo),
-                                 first)
-            hit = b & open_mask
-            if not hit or 2 * (b & neg).bit_count() != b.bit_count():
-                continue
-            half = b.bit_count() // 2
-            found.update(dict.fromkeys(_bits(hit), EdgeCut(
-                frozenset([anchor, *map(rest.__getitem__, combo)]),
-                frozenset(_bits(b)), half, half)))
-            open_mask ^= hit
-            if not open_mask:
-                return found
-    return found
-
-
 def equilibrated_cut_for_edge(g: SignedGraph, eid: int) -> Optional[EdgeCut]:
     """Smallest (then lex-least) equilibrated cut containing edge eid.
 
     Only one side of each cut is scanned: the side containing the least
-    vertex.  Returns None when no equilibrated cut contains the edge.
+    vertex, in (size, itertools.combinations) order.  Returns None when no
+    equilibrated cut contains the edge.  g's signature need not be minimum,
+    so its cuts are not read off the walk's minimizers: the sides are
+    walked.
     """
     if not 0 <= eid < g.m:
         raise PreconditionError(f"edge {eid} is not an edge id "
                                 f"(0..{g.m - 1})")
-    return _first_equilibrated_cuts(g, [eid], g.negative_mask).get(eid)
+    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
+                 "equilibrated cut search")
+    if g.edges[eid].is_loop:
+        return None
+    anchor, *rest = g.vertices
+    inc, neg = g.incidence_masks, g.negative_mask
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            # a side's boundary is the XOR of its vertices' incidence masks
+            b = functools.reduce(operator.xor, map(inc.__getitem__, combo),
+                                 inc[anchor])
+            if b >> eid & 1 and 2 * (b & neg).bit_count() == b.bit_count():
+                half = b.bit_count() // 2
+                return EdgeCut(frozenset((anchor, *combo)),
+                               frozenset(_bits(b)), half, half)
+    return None
+
+
+def _lex(mask: int) -> tuple:
+    """Descending sort key: bit sets by size, then lex by position.  Of two
+    sets of one size, the one holding the lowest bit where they differ has
+    the greater bit string read lowest bit first."""
+    return -mask.bit_count(), bin(mask)[:1:-1]
+
+
+def _equilibrated_cuts(g: SignedGraph, scans: list, picks: list,
+                       open_mask: int) -> dict:
+    """eid -> the smallest, then lex-least, equilibrated cut containing
+    that edge, with its side holding g's first vertex, for each edge in
+    open_mask under the chosen minimizers `picks`; others are left out.
+
+    Switching a component's chosen minimizer at t = masks[i] ^ masks[pick]
+    gives minimizer i, so t and the rest of the component (the anchored
+    side) bound every equilibrated cut there, with boundary
+    negs[pick] ^ negs[i].  A cut is equilibrated when each component's part
+    is, and equal-size parts on disjoint vertex sets compare lex as the
+    parts do.  So an edge of another component than the first joins its
+    least side there to the first component's least anchored side.
+    """
+    found, base, bound = {}, [], 0
+    for c, ((free, _, masks, negs), pick) in enumerate(zip(scans, picks)):
+        if not open_mask:
+            break
+        # bit 0 of a side is the anchor, bit j+1 the j-th free vertex
+        verts = [min(g.components[c], key=g.vindex.__getitem__) if c
+                 else g.vertices[0], *free]
+        full, sides = (2 << len(free)) - 1, {}
+        for m, n in zip(masks, negs):
+            t = (m ^ masks[pick]) << 1
+            sides[full ^ t] = n ^ negs[pick]
+            if c:
+                sides[t] = n ^ negs[pick]
+        order = sorted(sides, key=_lex, reverse=True)
+        for side in order:
+            hit = sides[side] & open_mask
+            if hit:
+                open_mask ^= hit
+                b = sides[side] | bound
+                half = b.bit_count() // 2
+                found.update(dict.fromkeys(_bits(hit), EdgeCut(
+                    frozenset([*base, *map(verts.__getitem__, _bits(side))]),
+                    frozenset(_bits(b)), half, half)))
+        if not c and len(scans) > 1:
+            base = list(map(verts.__getitem__, _bits(order[0])))
+            bound = sides[order[0]]
+    return found
 
 
 def _certify_deletion(g: SignedGraph, k: int, scans: list) -> tuple:
@@ -111,20 +141,36 @@ def _certify_deletion(g: SignedGraph, k: int, scans: list) -> tuple:
 
 
 def _certify_signatures(g: SignedGraph, k: int, scans: list) -> tuple:
-    sigs = _signatures(g, scans)
-    witness = {eid: next((list(s) for s in sigs if eid in s), None)
-               for eid in range(g.m)}
+    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
+                 "minimum-signature enumeration")
+    # the lex-least minimum signature holding an edge is, per component,
+    # the lex-least mask (holding the edge in its own component): a
+    # component's masks are of one size; the negative loops are one part
+    ranked = [[_negative_loops(g)]]
+    ranked += (sorted(s[3], key=_lex, reverse=True) for s in scans)
+    least = sum(negs[0] for negs in ranked)
+    witness, open_mask = dict.fromkeys(range(g.m)), (1 << g.m) - 1
+    for negs in ranked:
+        for n in negs:
+            hit = n & open_mask
+            if hit:
+                open_mask ^= hit
+                sig = _bits(least ^ negs[0] ^ n)
+                witness.update((eid, list(sig)) for eid in _bits(hit))
     return None not in witness.values(), {"negative_in_signature": witness}
 
 
 def _certify_cuts(g: SignedGraph, k: int, scans: list) -> tuple:
-    switch_set, neg = _minimizer(g, scans)
+    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
+                 "equilibrated cut search")
+    switch_set, neg, picks = _minimizer(g, scans)
     # edges already negative in the minimum signature need no cut
     positive = [eid for eid in range(g.m) if not neg >> eid & 1]
-    cuts = _first_equilibrated_cuts(g, positive, neg)
+    cuts = _equilibrated_cuts(g, scans, picks, sum(
+        1 << eid for eid in positive if not g.edges[eid].is_loop))
     return len(cuts) == len(positive), {
         "minimum_switch_set": sorted(map(str, switch_set)),
-        "equilibrated_cuts": {eid: cuts[eid].to_json(g) if eid in cuts
+        "equilibrated_cuts": {eid: cuts[eid].to_json() if eid in cuts
                               else None for eid in positive}}
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from . import guards
 from .core import NEG, SignedGraph, _bits, switch
@@ -102,14 +101,16 @@ def _negative_loops(g: SignedGraph) -> int:
 
 def _minimizer(g: SignedGraph, scans: list) -> tuple:
     """`frustration_index`'s witness read from the components' `_scan`s,
-    as (switch set, negative-edge mask)."""
-    full, neg = frozenset(), _negative_loops(g)
+    as (switch set, negative-edge mask, the chosen minimizer's position in
+    each component's masks)."""
+    full, neg, picks = frozenset(), _negative_loops(g), []
     for free, _, masks, negs in scans:
         sets = [[v for j, v in enumerate(free) if m >> j & 1] for m in masks]
         i = min(range(len(sets)), key=lambda i: sorted(map(str, sets[i])))
         full |= frozenset(sets[i])
         neg |= negs[i]
-    return full, neg
+        picks.append(i)
+    return full, neg, picks
 
 
 def frustration_index(g: SignedGraph) -> FrustrationResult:
@@ -120,7 +121,7 @@ def frustration_index(g: SignedGraph) -> FrustrationResult:
     vertex strings).  The reported negative edge ids are those of
     switch(g, switch_set).
     """
-    full, neg = _minimizer(g, _component_scans(g))
+    full, neg, _ = _minimizer(g, _component_scans(g))
     return FrustrationResult(neg.bit_count(), full, frozenset(_bits(neg)))
 
 
@@ -128,23 +129,16 @@ def all_minimum_signatures(g: SignedGraph) -> tuple:
     """Every distinct minimum negative-edge set, as sorted eid tuples.
 
     Returned sorted lexicographically.  Distinct switch sets can induce
-    the same negative edge set; duplicates are collapsed.
+    the same negative edge set; duplicates are collapsed.  Read off the
+    components' `_scan`s: a minimizer's mask per component.
     """
-    return _signatures(g)
-
-
-def _signatures(g: SignedGraph, scans: Optional[list] = None) -> tuple:
-    """`all_minimum_signatures` read off the components' `_scan`s (made
-    after the guard if not given): a minimizer's mask per component."""
     # the answer is a product over the components, so g.n bounds it
     guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
                  "minimum-signature enumeration")
-    if scans is None:
-        scans = _component_scans(g)
     loops = _negative_loops(g)
     # the components' masks are disjoint, so their sum is their union
-    out = {sum(combo, loops)
-           for combo in itertools.product(*(s[3] for s in scans))}
+    out = {sum(combo, loops) for combo
+           in itertools.product(*(s[3] for s in _component_scans(g)))}
     return tuple(sorted(tuple(_bits(neg)) for neg in out))
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from signforge import catalog, core, criticality, frustration
-from signforge.core import build_graph, cut
+from signforge.constructions import ghat
+from signforge.core import build_graph, cut, switch
 from signforge.errors import GuardExceeded, PreconditionError
 from signforge.criticality import (METHODS, certify, equilibrated_cut_for_edge,
                                    is_critical)
@@ -134,7 +135,21 @@ def test_deletion_certificate_matches_brute_force(g):
         assert idx == brute_force_index(g.delete_edges([eid]))
 
 
+# disconnected graphs: the first vertex isolated, the first vertex's
+# component balanced, and every positive edge of a minimum signature in
+# the second component
+TRIANGLE = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-")])
+DISCONNECTED = (
+    core.SignedGraph((-1,) + TRIANGLE.vertices, TRIANGLE.edges),
+    build_graph([(0, 1, "+"), (2, 3, "+"), (3, 4, "-"), (4, 2, "+")]),
+    build_graph([(0, 0, "-"), (1, 2, "+"), (2, 3, "+"), (3, 1, "-")]),
+)
+
+
 @given(signed_graphs(max_n=6, max_m=10))
+@example(DISCONNECTED[0])
+@example(DISCONNECTED[1])
+@example(DISCONNECTED[2])
 @settings(max_examples=60, deadline=None)
 def test_cut_witnesses_match_brute_force(g):
     for eid in range(g.m):
@@ -143,7 +158,49 @@ def test_cut_witnesses_match_brute_force(g):
     gmin = minimum_signature_switch(g)
     for eid, rec in details.get("equilibrated_cuts", {}).items():
         oracle = brute_force_cut(gmin, eid)
-        assert rec == (oracle.to_json(gmin) if oracle is not None else None)
+        assert rec == (oracle.to_json() if oracle is not None else None)
+
+
+def brute_force_signatures(g):
+    """Independent oracle: the negative-edge sets of the switchings that
+    reach the least count, over all 2^n switchings, sorted."""
+    sets = {tuple(sorted(switch(g, frozenset(s)).negative_edge_ids))
+            for r in range(g.n + 1) for s in combinations(g.vertices, r)}
+    k = min(map(len, sets))
+    return sorted(s for s in sets if len(s) == k)
+
+
+@given(signed_graphs(max_n=6, max_m=10))
+@example(DISCONNECTED[0])
+@example(DISCONNECTED[1])
+@example(DISCONNECTED[2])
+@settings(max_examples=60, deadline=None)
+def test_signature_witnesses_match_brute_force(g):
+    # each witness is the lex-least minimum signature holding its edge
+    details = certify(g, method="signatures").details
+    sigs = brute_force_signatures(g)
+    for eid, sig in details.get("negative_in_signature", {}).items():
+        assert sig == next((list(s) for s in sigs if eid in s), None)
+
+
+def test_cut_certificate_walks_no_sides(monkeypatch):
+    # the cuts read off the walk's minimizers are the side pass's answers
+    # on the minimum signature
+    graphs = [catalog.get("k5-minus").graph, ghat(2), two_triangles()]
+    expected = []
+    for g in graphs:
+        gmin = minimum_signature_switch(g)
+        expected.append({eid: equilibrated_cut_for_edge(gmin, eid).to_json()
+                         for eid in range(g.m)
+                         if eid not in gmin.negative_edge_ids})
+
+    def refuse(*args):
+        raise AssertionError("cut sides walked")
+
+    monkeypatch.setattr(criticality, "equilibrated_cut_for_edge", refuse)
+    for g, cuts in zip(graphs, expected):
+        c = certify(g, method="cuts")
+        assert c.critical and c.details["equilibrated_cuts"] == cuts
 
 
 def test_cut_search_is_guarded_on_n(monkeypatch):
