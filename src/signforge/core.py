@@ -9,7 +9,6 @@ switching, so cuts and cycles stay addressable across switchings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import guards
@@ -86,6 +85,20 @@ def _mask_components(masks: Iterable[int]) -> list:
     return out
 
 
+class _cached:
+    """`functools.cached_property` without its lock: the value is stored
+    in the instance `__dict__`, which shadows this non-data descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     vertices: tuple
@@ -101,11 +114,11 @@ class SignedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @_cached
     def vindex(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
+    @_cached
     def incidence(self) -> dict:
         """Vertex -> tuple of incident edge ids (loops listed once)."""
         inc = {v: [] for v in self.vertices}
@@ -128,20 +141,20 @@ class SignedGraph:
     def max_degree(self) -> int:
         return max((self.degree(v) for v in self.vertices), default=0)
 
-    @cached_property
+    @_cached
     def negative_edge_ids(self) -> frozenset:
         return frozenset(e.eid for e in self.edges if e.sign == NEG)
 
-    @cached_property
+    @_cached
     def loop_edge_ids(self) -> frozenset:
         return frozenset(e.eid for e in self.edges if e.is_loop)
 
-    @cached_property
+    @_cached
     def negative_mask(self) -> int:
         """Bitmask of the negative edge ids (bit eid set iff negative)."""
         return sum(1 << eid for eid in self.negative_edge_ids)
 
-    @cached_property
+    @_cached
     def incidence_masks(self) -> dict:
         """Vertex -> bitmask of its incident non-loop edge ids.
 
@@ -163,7 +176,7 @@ class SignedGraph:
 
     # -- components --------------------------------------------------------
 
-    @cached_property
+    @_cached
     def components(self) -> tuple:
         """Connected components as frozensets, by least vertex: the
         `_mask_components` flood, shared with the enumeration's filter."""
@@ -197,7 +210,7 @@ class SignedGraph:
 
     # -- bundles (parallel classes) ----------------------------------------
 
-    @cached_property
+    @_cached
     def bundles(self) -> dict:
         """Unordered vertex pair -> list of edge ids (loops keyed by {v})."""
         out = {}

@@ -141,8 +141,6 @@ def _certify_deletion(g: SignedGraph, k: int, scans: list) -> tuple:
 
 
 def _certify_signatures(g: SignedGraph, k: int, scans: list) -> tuple:
-    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
-                 "minimum-signature enumeration")
     # the lex-least minimum signature holding an edge is, per component,
     # the lex-least mask (holding the edge in its own component): a
     # component's masks are of one size; the negative loops are one part
@@ -161,8 +159,6 @@ def _certify_signatures(g: SignedGraph, k: int, scans: list) -> tuple:
 
 
 def _certify_cuts(g: SignedGraph, k: int, scans: list) -> tuple:
-    guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
-                 "equilibrated cut search")
     switch_set, neg, picks = _minimizer(g, scans)
     # edges already negative in the minimum signature need no cut
     positive = [eid for eid in range(g.m) if not neg >> eid & 1]

@@ -15,6 +15,9 @@ and its witness edges, all minimum signatures (a product of those masks)
 and the certificates in `criticality` are read off them, with no switched
 graph built.  The Gray-code loop itself, `_walk`, takes raw masks, so
 `enumeration` runs it on masks built straight from its integer encoding.
+Past 9 free vertices it goes 512 switchings at a time, off one table of
+the first 9 vertices' masks in Gray order; smaller walks, every
+enumeration walk among them, stay a loop.
 
 Negative loops are unswitchable and each contributes exactly 1; positive
 loops contribute 0.  Loops never enter the masks, and the negative loops
@@ -44,6 +47,9 @@ class FrustrationResult:
         }
 
 
+_BLOCK = 9  # blocks of 2^9 beat the loop only past 9 free vertices
+
+
 def _walk(inc: list, neg: int) -> tuple:
     """The Gray-code switching loop, on raw masks.
 
@@ -54,18 +60,43 @@ def _walk(inc: list, neg: int) -> tuple:
     over all 2^len(inc) switchings, every switch mask reaching it (in
     Gray-code order, starting from the empty switching), and next to each,
     at the same position in negs, the negative-edge mask it induces.
+
+    Past _BLOCK free vertices, block hi of 2^_BLOCK positions is a table of
+    the first _BLOCK masks XORed in Gray order (read backward when hi is
+    odd: the code reflects) XORed with the rest's Gray-walked mask, so a
+    block is one comprehension of popcounts and one `min`, in loop order.
     """
-    best = neg.bit_count()
-    masks, negs = [0], [neg]
-    for step in range(1, 1 << len(inc)):
-        neg ^= inc[(step & -step).bit_length() - 1]
-        count = neg.bit_count()
+    best, masks, negs = neg.bit_count(), [0], [neg]
+    if len(inc) <= _BLOCK:
+        for step in range(1, 1 << len(inc)):
+            neg ^= inc[(step & -step).bit_length() - 1]
+            count = neg.bit_count()
+            if count <= best:
+                if count < best:
+                    best = count
+                    masks, negs = [], []
+                masks.append(step ^ (step >> 1))
+                negs.append(neg)
+        return best, masks, negs
+    table = [0]
+    for b in inc[:_BLOCK]:
+        table += [t ^ b for t in reversed(table)]
+    tables, masks, negs = (table, table[::-1]), [], []
+    for hi in range(1 << len(inc) - _BLOCK):
+        if hi:
+            neg ^= inc[_BLOCK + (hi & -hi).bit_length() - 1]
+        table = tables[hi & 1]
+        counts = [(neg ^ t).bit_count() for t in table]
+        count = min(counts)
         if count <= best:
             if count < best:
-                best = count
-                masks, negs = [], []
-            masks.append(step ^ (step >> 1))
-            negs.append(neg)
+                best, masks, negs = count, [], []
+            p = -1
+            for _ in range(counts.count(count)):
+                p = counts.index(count, p + 1)
+                step = hi << _BLOCK | p
+                masks.append(step ^ (step >> 1))
+                negs.append(neg ^ table[p])
     return best, masks, negs
 
 

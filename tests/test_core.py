@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 from collections import Counter
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from signforge import core
 from signforge.core import (NEG, POS, Cycle, build_graph, canonical_form,
                             cut, cycle_sign, from_canonical_form, is_balanced,
                             parse_sg, serialize_sg, switch,
@@ -27,6 +29,30 @@ def test_build_and_accessors():
     assert g.neighbors("a") == frozenset({"b"})
     assert g.negative_edge_ids == frozenset({1, 2})
     assert len(g.components) == 2
+
+
+def test_cached_properties_are_computed_once_onto_the_instance():
+    calls = []
+
+    class Box:
+        @core._cached
+        def value(self):
+            calls.append(self)
+            return object()
+
+    box = Box()
+    assert box.value is box.value and calls == [box]
+    assert vars(box) == {"value": box.value}
+    g, h = triangle(), triangle()
+    masks = g.incidence_masks
+    assert vars(g)["incidence_masks"] is masks and g.incidence_masks is masks
+    assert "incidence_masks" not in vars(h)
+    # the frozen dataclass compares and hashes its fields only, and still
+    # refuses assignment
+    assert g == h and hash(g) == hash(h)
+    assert g.components and g != triangle("+--")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.incidence_masks = {}
 
 
 def test_parse_serialize_round_trip_bit_exact():

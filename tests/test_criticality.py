@@ -203,28 +203,36 @@ def test_cut_certificate_walks_no_sides(monkeypatch):
         assert c.critical and c.details["equilibrated_cuts"] == cuts
 
 
+def triangle_and_isolated_vertices():
+    # a negative triangle plus 22 isolated vertices: the switching walk
+    # sees components of at most 3 vertices, 25 vertices in all
+    return build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-")],
+                       isolated=range(3, 25))
+
+
 def test_cut_search_is_guarded_on_n(monkeypatch):
     monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
-    # a negative triangle plus 22 isolated vertices: the switching scan
-    # sees components of at most 3 vertices, the cut search all 25
-    g = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-")],
-                    isolated=range(3, 25))
-    assert frustration_index(g).index == 1
-    with pytest.raises(GuardExceeded):
-        certify(g, method="cuts")
+    g = triangle_and_isolated_vertices()
+    # the certificate reads its cuts off the walk's minimizers ...
+    c = certify(g, method="cuts")
+    assert (c.critical, c.k) == (True, 1)
+    assert sorted(c.details["equilibrated_cuts"]) == [0, 1]
+    # ... while the side pass for one edge walks the sides of all 25
     with pytest.raises(GuardExceeded):
         equilibrated_cut_for_edge(g, 0)
 
 
-def test_signature_certificate_is_guarded_on_n_after_the_index(monkeypatch):
+def test_signature_certificate_is_not_guarded_on_n(monkeypatch):
     monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
-    # components of at most 3 vertices, 25 vertices in all
-    g = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-")],
-                    isolated=range(3, 25))
-    assert certify(g, method="deletion").critical
+    g = triangle_and_isolated_vertices()
+    c = certify(g, method="signatures")
+    assert (c.critical, c.k) == (True, 1)
+    assert c.details["negative_in_signature"] == {0: [0], 1: [1], 2: [2]}
+    # the list of every minimum signature is a product over the
+    # components, so g.n bounds it
     with pytest.raises(GuardExceeded):
-        certify(g, method="signatures")
-    # a k that is not the index is refuted before the guard is reached
+        all_minimum_signatures(g)
+    # a k that is not the index is refuted from the index alone
     assert certify(g, 2, method="signatures").details == {
         "frustration_index": 1}
 

@@ -1,8 +1,10 @@
+import random
 from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
 
+from signforge import frustration
 from signforge.core import build_graph, switch
 from signforge.errors import GuardExceeded
 from signforge.frustration import (all_minimum_signatures, frustration_by_cover, minimum_signature_switch,
@@ -126,3 +128,64 @@ def test_guard_bounds_the_largest_component_not_n(monkeypatch):
     # the minimum signatures are a product over components: bounded by n
     with pytest.raises(GuardExceeded):
         all_minimum_signatures(three)
+
+
+def reference_walk(inc, neg):
+    """Independent oracle for `_walk`: every Gray-code position i on its
+    own, with switch mask i ^ (i >> 1) and no running state."""
+    best, masks, negs = None, [], []
+    for i in range(1 << len(inc)):
+        mask = i ^ (i >> 1)
+        n = neg
+        for j, b in enumerate(inc):
+            if mask >> j & 1:
+                n ^= b
+        if best is None or n.bit_count() < best:
+            best, masks, negs = n.bit_count(), [], []
+        if n.bit_count() == best:
+            masks.append(mask)
+            negs.append(n)
+    return best, masks, negs
+
+
+def test_walk_matches_reference_across_the_block_boundary():
+    # walks past frustration._BLOCK free vertices go by blocks of 2^9
+    # positions, odd blocks reading the table backward
+    rng = random.Random(18)
+    for c in [*range(14), 9, 10, 10, 11, 11]:
+        m = rng.randint(1, 2 * c + 2)
+        inc = [rng.getrandbits(m) for _ in range(c)]
+        neg = rng.getrandbits(m)
+        assert frustration._walk(inc, neg) == reference_walk(inc, neg), c
+    # a few edges over many vertices: ties across several blocks
+    inc = [1 << rng.randrange(4) for _ in range(12)]
+    assert frustration._walk(inc, 0b1011) == reference_walk(inc, 0b1011)
+
+
+@pytest.mark.parametrize("c", [9, 10, 11])
+def test_walk_keeps_every_tie_in_gray_order(c):
+    # zero incidence masks: every switching is a minimizer, in odd and even
+    # blocks alike
+    best, masks, negs = frustration._walk([0] * c, 0b101)
+    assert best == 2
+    assert masks == [i ^ (i >> 1) for i in range(1 << c)]
+    assert negs == [0b101] * (1 << c)
+
+
+def random_connected(rng, n, extra):
+    edges = [(v, rng.randrange(v), rng.choice("+-")) for v in range(1, n)]
+    edges += [(*rng.sample(range(n), 2), rng.choice("+-"))
+              for _ in range(extra)]
+    return build_graph(edges)
+
+
+def test_block_walk_matches_cycle_cover_definition():
+    # connected graphs of 12-14 vertices reach the blocks through the
+    # public path
+    rng = random.Random(1812)
+    for n, extra in [(n, e) for n in (12, 13, 14) for e in (4, 8, 12)]:
+        g = random_connected(rng, n, extra)
+        assert len(g.components) == 1
+        r = frustration_index(g)
+        assert r.index == frustration_by_cover(g)
+        assert switch(g, r.switch_set).negative_edge_ids == r.negative_edge_ids
