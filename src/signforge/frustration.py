@@ -130,15 +130,46 @@ def _negative_loops(g: SignedGraph) -> int:
     return sum(1 << e for e in g.loop_edge_ids if g.edges[e].sign == NEG)
 
 
+def _least(free: list, masks: list) -> int:
+    """The position in masks of the switch set whose sorted tuple of vertex
+    strings is least, the first such on ties.
+
+    The free vertices fall into groups of equal `str`, in string order.
+    The masks that agree on every group so far have the same tuple so
+    far; at the next group, one with nothing past it ends there, and ends
+    before any that goes on, the sooner the fewer of the group it holds,
+    while of those that go on, the ones holding the most of the group lead.
+    The first mask left alone is the least.
+    """
+    if len(masks) == 1:  # one minimizer, or no free vertex
+        return 0
+    names = [str(v) for v in free]
+    groups: dict = {}
+    for j in sorted(range(len(free)), key=names.__getitem__):
+        groups[names[j]] = groups.get(names[j], 0) | 1 << j
+    cand, rest = masks, (1 << len(free)) - 1
+    for group in groups.values():
+        rest ^= group
+        ended = [m for m in cand if not m & rest]
+        if ended:
+            cand = [min(ended, key=lambda m: (m & group).bit_count())]
+            break
+        counts = [(m & group).bit_count() for m in cand]
+        top = max(counts)
+        cand = [m for m, k in zip(cand, counts) if k == top]
+        if len(cand) == 1:
+            break
+    return masks.index(cand[0])
+
+
 def _minimizer(g: SignedGraph, scans: list) -> tuple:
     """`frustration_index`'s witness read from the components' `_scan`s,
     as (switch set, negative-edge mask, the chosen minimizer's position in
     each component's masks)."""
     full, neg, picks = frozenset(), _negative_loops(g), []
     for free, _, masks, negs in scans:
-        sets = [[v for j, v in enumerate(free) if m >> j & 1] for m in masks]
-        i = min(range(len(sets)), key=lambda i: sorted(map(str, sets[i])))
-        full |= frozenset(sets[i])
+        i = _least(free, masks)
+        full |= frozenset([v for j, v in enumerate(free) if masks[i] >> j & 1])
         neg |= negs[i]
         picks.append(i)
     return full, neg, picks

@@ -36,6 +36,26 @@ fewer usable edges than the later paths ending there need.  Such a step
 opens only subtrees without a system, so the prune keeps the systems and
 their order; on ghat_planar(3) it cuts the search from 188,180 nodes to
 49,049.
+
+`find_k4_minus_subdivision` adds a sign-parity lookahead once _GATE
+quadruples have yielded no system, on the quadruples with a branch vertex
+of degree above 3 (`_Lookahead`, `_grow_ahead`).  At every step onto an
+inner vertex and at every path boundary it asks, for each triangle not
+yet closed, whether walks over the untaken vertices can still close it
+negative; a subtree where one cannot holds no system and is cut, so the
+witness is the plain search's.  On ghat_planar(3), which has no K4-, the
+search falls to 3,760 nodes, 2,169 of them in the gate's plain
+quadruples, and its time to about a quarter.  The gate keeps searches
+that find a witness within a few quadruples, most of the catalog among
+them, off the lookahead, whose walk searches made them two to three
+times slower.  On four branch vertices of degree 3 the edge prune leaves
+it too little to cut: there it made random signed cubic graphs about 1.3
+times slower.  The enumeration (`k4_minus_subdivision_edge_sets`) and
+the edge-set test keep the plain search: the test's paths are forced,
+and most of the enumeration's subtrees hold systems, so there the
+lookahead costs more than it cuts: on the s3-petersen x s3-projective
+join (2,793 edge sets) it took the enumeration from 3.0 s to 7.8 s, its
+memo to 593,119 entries.
 """
 
 from __future__ import annotations
@@ -64,6 +84,23 @@ _TRIANGLES = ((), (), (), ((0, 1, 3),), ((0, 2, 4),), ((1, 2, 5),))
 # per path: how many of the paths after it end at each branch vertex
 _LATER = tuple(tuple(sum(i in pair for pair in _PAIR_ORDER[pi + 1:])
                      for i in range(4)) for pi in range(6))
+# per path pi: each triangle still open while pi grows, as (its paths done
+# before pi, whether pi is on it, the (source, target) branch indices of
+# what is left of it), target None standing for the end of pi so far
+_OPEN = tuple(tuple((tuple(p for p in tri if p < pi), pi in tri,
+                     tuple((_PAIR_ORDER[p][1],
+                            None if p == pi else _PAIR_ORDER[p][0])
+                           for p in tri if p >= pi))
+                    for tri in ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
+                    if tri[2] >= pi) for pi in range(6))
+# the sign set of the products of two sign sets, as masks with bit 0 for
+# POS and bit 1 for NEG
+_TIMES = tuple(tuple(sum({1 << (i ^ j) for i in (0, 1) for j in (0, 1)
+                          if p >> i & q >> j & 1}) for q in range(4))
+               for p in range(4))
+# quadruples `find_k4_minus_subdivision` searches without a system before
+# it turns the lookahead on
+_GATE = 12
 
 
 @dataclass(frozen=True)
@@ -83,7 +120,8 @@ class K4MinusSubdivision:
         }
 
 
-def _path_systems(adj: dict, quad: tuple) -> Iterator[tuple]:
+def _path_systems(adj: dict, quad: tuple,
+                  look: Optional[_Lookahead] = None) -> Iterator[tuple]:
     """All systems of six internally-disjoint paths joining quad pairwise
     such that the four triangle-image cycles are negative.
 
@@ -112,6 +150,10 @@ def _path_systems(adj: dict, quad: tuple) -> Iterator[tuple]:
     both its ends still hold one edge more than the later paths need.
     Only subtrees without a system are cut, so the systems and their order
     are those of the unpruned search.
+
+    Given look, the search is `_grow_ahead`, which also cuts every subtree
+    where `look.completable` finds a triangle that can no longer close
+    negative; the systems and their order stay the same.
     """
     hits: dict = {}
     for i, x in enumerate(quad):
@@ -119,8 +161,13 @@ def _path_systems(adj: dict, quad: tuple) -> Iterator[tuple]:
             if o not in quad:
                 hits.setdefault(o, []).append(i)
     free = [len(adj[x]) for x in quad]
-    return _grow(adj, quad, hits, free, set(quad), [], [], 0, 0, quad[0],
-                 POS, 0)
+    if look is None:
+        return _grow(adj, quad, hits, free, set(quad), [], [], 0, 0, quad[0],
+                     POS, 0)
+    ends = tuple([look.index[x] for x in quad])
+    region = ((1 << len(adj)) - 1) ^ sum([1 << i for i in ends])
+    return _grow_ahead(look, quad, ends, hits, free, region, [], [], 0, 0,
+                       quad[0], POS, 0)
 
 
 def _grow(adj: dict, quad: tuple, hits: dict, free: list, taken: set,
@@ -175,6 +222,143 @@ def _grow(adj: dict, quad: tuple, hits: dict, free: list, taken: set,
                 free[i] += 1
 
 
+class _Lookahead:
+    """The sign-parity lookahead of one `find_k4_minus_subdivision` call.
+
+    Vertices are numbered in adj's order.  `adj` repeats adj's entries with
+    the far end's number i and bit 1 << i, `pos[i]`/`neg[i]` mask vertex
+    i's neighbours across positive/negative edges, and `memo` keeps
+    `reach` by (region, source) for the call.
+    """
+
+    __slots__ = ("index", "adj", "pos", "neg", "memo")
+
+    def __init__(self, adj: dict):
+        self.index = index = {v: i for i, v in enumerate(adj)}
+        self.adj = {v: [(eid, o, s, 1 << index[o], index[o])
+                        for eid, o, s in entries]
+                    for v, entries in adj.items()}
+        self.pos, self.neg = [0] * len(adj), [0] * len(adj)
+        for v, entries in adj.items():
+            for _, o, s in entries:
+                (self.pos if s == POS else self.neg)[index[v]] |= 1 << index[o]
+        self.memo: dict = {}
+
+    def reach(self, region: int, x: int) -> tuple:
+        """(even, odd): the masks of the vertices that a walk from vertex x
+        with its inner vertices in region reaches across an even / odd
+        number of negative edges."""
+        found = self.memo.get((region, x))
+        if found is not None:
+            return found
+        pos, neg = self.pos, self.neg
+        even = fresh_even = 1 << x
+        odd = fresh_odd = 0
+        while fresh_even or fresh_odd:
+            if fresh_even:
+                u = (fresh_even & -fresh_even).bit_length() - 1
+                fresh_even &= fresh_even - 1
+                e, o = pos[u] & ~even, neg[u] & ~odd
+            else:
+                u = (fresh_odd & -fresh_odd).bit_length() - 1
+                fresh_odd &= fresh_odd - 1
+                e, o = neg[u] & ~even, pos[u] & ~odd
+            even |= e
+            odd |= o
+            fresh_even |= e & region
+            fresh_odd |= o & region
+        found = self.memo[region, x] = (even, odd)
+        return found
+
+    def completable(self, ends: tuple, done: list, pi: int, v: int,
+                    sign: int, region: int) -> bool:
+        """Whether every triangle left open while path pi grows, as far as
+        vertex v with the given sign, can still close negative through
+        region; ends numbers the branch vertices.
+
+        What is left of an open triangle is a walk between the ends of its
+        known part through its other branch vertices, so a completion
+        needs, between each pair in turn, a walk inside region of some
+        sign, and those signs times the known ones must be NEG.  The walks
+        relax the paths (they may cross each other and reuse vertices), so
+        a False opens only subtrees without a system.
+        """
+        reached = [None] * 4
+        for before, holds, rest in _OPEN[pi]:
+            known = sign if holds else POS
+            for p in before:
+                known *= done[p][1]
+            have = 1 if known == POS else 2
+            for x, y in rest:
+                walks = reached[x]
+                if walks is None:
+                    walks = reached[x] = self.reach(region, ends[x])
+                y = v if y is None else ends[y]
+                have = _TIMES[have][(walks[0] >> y & 1)
+                                    | (walks[1] >> y & 1) << 1]
+            if not have & 2:
+                return False
+        return True
+
+
+def _grow_ahead(look: _Lookahead, quad: tuple, ends: tuple, hits: dict,
+                free: list, region: int, steps: list, done: list, used: int,
+                pi: int, v, sign: int, begin: int) -> Iterator[tuple]:
+    """`_grow` with the sign-parity lookahead, `_Lookahead.completable`,
+    at every step onto an inner vertex and at every path boundary; ends
+    numbers quad, and region masks the vertices neither in quad nor
+    taken."""
+    a, b = _PAIR_ORDER[pi]
+    y = quad[b]
+    later = _LATER[pi]
+    for eid, o, s, bit, oi in look.adj[v]:
+        if used >> eid & 1:
+            continue
+        if o == y:
+            direct = begin == len(steps)
+            if direct:
+                free[a] -= 1
+                free[b] -= 1
+            steps.append((eid, o))
+            path = steps[begin:]
+            done.append((((quad[a], y), tuple([e for e, _ in path]),
+                          (quad[a], *[w for _, w in path])), sign * s))
+            if all([done[i][1] * done[j][1] * done[k][1] == NEG
+                    for i, j, k in _TRIANGLES[pi]]):
+                if pi == 5:
+                    yield tuple([p for p, _ in done])
+                else:
+                    x = _PAIR_ORDER[pi + 1][0]
+                    if look.completable(ends, done, pi + 1, ends[x], POS,
+                                        region):
+                        yield from _grow_ahead(look, quad, ends, hits, free,
+                                               region, steps, done,
+                                               used | 1 << eid, pi + 1,
+                                               quad[x], POS, len(steps))
+            done.pop()
+            steps.pop()
+            if direct:
+                free[a] += 1
+                free[b] += 1
+        elif region & bit:
+            hit = hits.get(o, ())
+            fits = True
+            for j in hit:
+                free[j] -= 1
+                if free[j] < later[j]:
+                    fits = False
+            if fits and look.completable(ends, done, pi, oi, sign * s,
+                                         region ^ bit):
+                steps.append((eid, o))
+                yield from _grow_ahead(look, quad, ends, hits, free,
+                                       region ^ bit, steps, done,
+                                       used | 1 << eid, pi, o, sign * s,
+                                       begin)
+                steps.pop()
+            for j in hit:
+                free[j] += 1
+
+
 def _adjacency(g: SignedGraph, eids: Iterable[int]) -> dict:
     """Each vertex's non-loop (eid, other end, sign) entries, in the
     order of eids."""
@@ -187,13 +371,18 @@ def _adjacency(g: SignedGraph, eids: Iterable[int]) -> dict:
     return adj
 
 
+def _quadruples(g: SignedGraph, adj: dict) -> Iterator[tuple]:
+    """The branch quadruples, ascending by vertex index."""
+    candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
+                        key=g.vindex.__getitem__)
+    return itertools.combinations(candidates, 4)
+
+
 def _iter_k4_minus_subdivisions(g: SignedGraph,
                                 allowed: Optional[frozenset] = None
                                 ) -> Iterator[K4MinusSubdivision]:
     adj = _adjacency(g, range(g.m) if allowed is None else sorted(allowed))
-    candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
-                        key=g.vindex.__getitem__)
-    for quad in itertools.combinations(candidates, 4):
+    for quad in _quadruples(g, adj):
         for system in _path_systems(adj, quad):
             yield K4MinusSubdivision(quad, system)
 
@@ -209,7 +398,18 @@ def find_k4_minus_subdivision(g: SignedGraph
                  "quadruple search (vertices)")
     guards.check(g.m, guards.QUADRUPLE_SEARCH_MAX_EDGES,
                  "quadruple search (edges)")
-    return next(_iter_k4_minus_subdivisions(g), None)
+    adj, look = _adjacency(g, range(g.m)), None
+    # past the gate, the lookahead runs where a branch vertex has an edge to
+    # spare over the three paths it ends
+    spare = {v for v, entries in adj.items() if len(entries) > 3}
+    for count, quad in enumerate(_quadruples(g, adj)):
+        ahead = count >= _GATE and not spare.isdisjoint(quad)
+        if ahead and look is None:
+            look = _Lookahead(adj)
+        system = next(_path_systems(adj, quad, look if ahead else None), None)
+        if system is not None:
+            return K4MinusSubdivision(quad, system)
+    return None
 
 
 def k4_minus_subdivision_edge_sets(g: SignedGraph,

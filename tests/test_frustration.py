@@ -3,6 +3,7 @@ from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signforge import frustration
 from signforge.core import build_graph, switch
@@ -110,6 +111,34 @@ def brute_force_witness(g):
 @settings(max_examples=80, deadline=None)
 def test_witness_is_the_lex_least_minimizer(g):
     assert frustration_index(g).switch_set == brute_force_witness(g)
+
+
+def _least_by_sorted_strings(free, masks):
+    """The tie-break as first written: the sorted tuple of each switch
+    set's vertex strings, the first least one."""
+    return min(range(len(masks)), key=lambda i: sorted(
+        str(v) for j, v in enumerate(free) if masks[i] >> j & 1))
+
+
+@pytest.mark.parametrize("n", range(9, 14))
+def test_least_minimizer_on_all_negative_complete_graphs(n):
+    # K13 has 1716 minimizers
+    g = build_graph([(u, v, "-") for u in range(n) for v in range(u)])
+    free, _, masks, _ = frustration._scan(g, g.components[0])
+    assert (frustration._least(free, masks)
+            == _least_by_sorted_strings(free, masks))
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 10, 11, 20, "1", "10", "3", 3,
+                                 "a", "b"]),
+                min_size=0, max_size=8, unique=True), st.data())
+@settings(max_examples=300, deadline=None)
+def test_least_minimizer_matches_sorted_strings(free, data):
+    # vertices such as 1 and "1" share a string, so their sets can tie
+    masks = data.draw(st.lists(st.integers(0, (1 << len(free)) - 1),
+                               min_size=1, max_size=40, unique=True))
+    assert (frustration._least(free, masks)
+            == _least_by_sorted_strings(free, masks))
 
 
 def cycle(first, length):

@@ -302,9 +302,19 @@ _PRUNED_BEFORE_WITNESS = build_graph([
     (0, 3, "+"), (4, 2, "-"), (3, 4, "-"), (0, 1, "+"), (1, 2, "-")])
 
 
+# ghat_planar(1) beside k5-minus: 495 quadruples, the witness on one of
+# the last five, so the lookahead runs past the gate and finds it
+_WITNESS_PAST_THE_GATE = build_graph(
+    [(f"p{e.u}", f"p{e.v}", e.sign) for e in ghat_planar(1)[0].edges]
+    + [(f"k{e.u}", f"k{e.v}", e.sign)
+       for e in catalog.get("k5-minus").graph.edges])
+
+
 @given(st.one_of(signed_graphs(max_n=7, max_m=14), part_unions(max_m=14)),
        st.randoms(use_true_random=False))
 @example(_PRUNED_BEFORE_WITNESS, random.Random(0))
+@example(ghat_planar(1)[0], random.Random(0))  # 35 quadruples, no system
+@example(_WITNESS_PAST_THE_GATE, random.Random(0))
 @settings(max_examples=80, deadline=None)
 def test_pruned_k4_minus_search_matches_the_unpruned_oracle(g, rng):
     assert (list(structure._iter_k4_minus_subdivisions(g))
@@ -336,6 +346,57 @@ def test_prune_cuts_the_search(monkeypatch):
     assert (list(structure._iter_k4_minus_subdivisions(g))
             == list(_unpruned_subdivisions(g, nodes=oracle_nodes)))
     assert (len(nodes), len(oracle_nodes)) == (323, 477)
+
+
+def test_lookahead_cuts_the_search_past_the_gate(monkeypatch):
+    # deterministic node counts of find on graphs without a K4-: the first
+    # _GATE quadruples on the plain search, the rest on the lookahead
+    # (1053 / 8415 / 49049 nodes on the plain search alone)
+    nodes = []
+
+    def counted(grow):
+        def count(*args):
+            nodes.append(grow)
+            return grow(*args)
+        return count
+
+    plain, ahead = structure._grow, structure._grow_ahead
+    monkeypatch.setattr(structure, "_grow", counted(plain))
+    monkeypatch.setattr(structure, "_grow_ahead", counted(ahead))
+    counts = []
+    for t in (1, 2, 3):
+        nodes.clear()
+        assert find_k4_minus_subdivision(ghat_planar(t)[0]) is None
+        counts.append(len(nodes))
+    assert structure._GATE == 12 and counts == [346, 1184, 3760]
+    nodes.clear()
+    witness = find_k4_minus_subdivision(_WITNESS_PAST_THE_GATE)
+    assert witness == next(_unpruned_subdivisions(_WITNESS_PAST_THE_GATE))
+    assert nodes[-1] is ahead
+
+
+@given(signed_graphs(max_n=7, max_m=12, loops=False), st.data())
+@settings(max_examples=80, deadline=None)
+def test_parity_reach_covers_every_simple_path(g, data):
+    # the lookahead may cut only where no path of the needed sign exists
+    adj = structure._adjacency(g, range(g.m))
+    look = structure._Lookahead(adj)
+    region = data.draw(st.integers(0, (1 << len(adj)) - 1))
+    vertex = {i: v for v, i in look.index.items()}
+
+    def paths(v, sign, seen):
+        # (end, sign) of every simple path from v whose inner vertices lie
+        # in region
+        for _, o, s in adj[v]:
+            if o not in seen:
+                yield o, sign * s
+                if region >> look.index[o] & 1:
+                    yield from paths(o, sign * s, seen | {o})
+
+    for x in range(len(adj)):
+        even, odd = look.reach(region, x)
+        for o, sign in paths(vertex[x], POS, {vertex[x]}):
+            assert (even if sign == POS else odd) >> look.index[o] & 1
 
 
 def test_packing_equality_without_subdivision():
@@ -602,6 +663,20 @@ def test_in_s_star_preconditions():
     with pytest.raises(PreconditionError):
         # the positive bridge can be deleted without lowering the index
         in_s_star(build_graph([(0, 0, "-"), (1, 1, "-"), (0, 1, "+")]))
+
+
+def test_k4_minus_search_leaves_no_garbage():
+    # the lookahead's memo and the search state may not outlive the call
+    g = ghat_planar(3)[0]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert find_k4_minus_subdivision(g) is None
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 @pytest.mark.parametrize("search", [find_decompositions, is_decomposable])
