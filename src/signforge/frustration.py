@@ -134,32 +134,16 @@ def _least(free: list, masks: list) -> int:
     """The position in masks of the switch set whose sorted tuple of vertex
     strings is least, the first such on ties.
 
-    The free vertices fall into groups of equal `str`, in string order.
-    The masks that agree on every group so far have the same tuple so
-    far; at the next group, one with nothing past it ends there, and ends
-    before any that goes on, the sooner the fewer of the group it holds,
-    while of those that go on, the ones holding the most of the group lead.
-    The first mask left alone is the least.
+    Each free vertex is ranked by its `str`, equal strings sharing a rank,
+    so a set's ranks in ascending order compare as its sorted strings do.
     """
     if len(masks) == 1:  # one minimizer, or no free vertex
         return 0
     names = [str(v) for v in free]
-    groups: dict = {}
-    for j in sorted(range(len(free)), key=names.__getitem__):
-        groups[names[j]] = groups.get(names[j], 0) | 1 << j
-    cand, rest = masks, (1 << len(free)) - 1
-    for group in groups.values():
-        rest ^= group
-        ended = [m for m in cand if not m & rest]
-        if ended:
-            cand = [min(ended, key=lambda m: (m & group).bit_count())]
-            break
-        counts = [(m & group).bit_count() for m in cand]
-        top = max(counts)
-        cand = [m for m, k in zip(cand, counts) if k == top]
-        if len(cand) == 1:
-            break
-    return masks.index(cand[0])
+    rank = {name: r for r, name in enumerate(sorted(set(names)))}
+    order = sorted([(rank[name], 1 << j) for j, name in enumerate(names)])
+    return min(range(len(masks)),
+               key=lambda i: [r for r, bit in order if masks[i] & bit])
 
 
 def _minimizer(g: SignedGraph, scans: list) -> tuple:

@@ -37,25 +37,25 @@ opens only subtrees without a system, so the prune keeps the systems and
 their order; on ghat_planar(3) it cuts the search from 188,180 nodes to
 49,049.
 
-`find_k4_minus_subdivision` adds a sign-parity lookahead once _GATE
-quadruples have yielded no system, on the quadruples with a branch vertex
-of degree above 3 (`_Lookahead`, `_grow_ahead`).  At every step onto an
-inner vertex and at every path boundary it asks, for each triangle not
-yet closed, whether walks over the untaken vertices can still close it
-negative; a subtree where one cannot holds no system and is cut, so the
-witness is the plain search's.  On ghat_planar(3), which has no K4-, the
-search falls to 3,760 nodes, 2,169 of them in the gate's plain
-quadruples, and its time to about a quarter.  The gate keeps searches
-that find a witness within a few quadruples, most of the catalog among
-them, off the lookahead, whose walk searches made them two to three
-times slower.  On four branch vertices of degree 3 the edge prune leaves
-it too little to cut: there it made random signed cubic graphs about 1.3
-times slower.  The enumeration (`k4_minus_subdivision_edge_sets`) and
-the edge-set test keep the plain search: the test's paths are forced,
-and most of the enumeration's subtrees hold systems, so there the
-lookahead costs more than it cuts: on the s3-petersen x s3-projective
-join (2,793 edge sets) it took the enumeration from 3.0 s to 7.8 s, its
-memo to 593,119 entries.
+`find_k4_minus_subdivision` turns on a sign-parity lookahead
+(`_Lookahead`) once _GATE quadruples have yielded no system.  At every
+step onto an inner vertex and at every path boundary it asks, for each
+triangle not yet closed, whether walks over the untaken vertices can
+still close it negative; a subtree where one cannot holds no system and
+is cut, so the witness is the plain search's.  On ghat_planar(3), which
+has no K4-, the search falls from 49,049 nodes to 3,760, 2,169 of them in
+the gate's plain quadruples, and its time to about a quarter.  The gate
+keeps searches that find a witness within a few quadruples, most of the
+catalog among them, off the lookahead, whose walk searches made them two
+to three times slower.  Where all four branch vertices have degree 3 the
+edge prune leaves it little to cut, and random signed cubic graphs
+(n = 12) take about 1.25 times as long as on the plain search.  The
+enumeration (`k4_minus_subdivision_edge_sets`) and the edge-set test
+keep the plain search: the test's paths are forced, and most of the
+enumeration's subtrees hold systems, so there the lookahead costs more
+than it cuts: on the s3-petersen x s3-projective join (2,793 edge sets)
+it took the enumeration from 3.0 s to 7.8 s, its memo to 593,119
+entries.
 """
 
 from __future__ import annotations
@@ -120,25 +120,26 @@ class K4MinusSubdivision:
         }
 
 
-def _path_systems(adj: dict, quad: tuple,
+def _path_systems(adj: dict, quad: tuple, bits: dict,
                   look: Optional[_Lookahead] = None) -> Iterator[tuple]:
     """All systems of six internally-disjoint paths joining quad pairwise
     such that the four triangle-image cycles are negative.
 
     adj maps each vertex to its allowed non-loop (eid, other end, sign)
-    entries (`_adjacency`).  One depth-first search grows the paths in
+    entries (`_adjacency`), and bits maps each of its vertices to a bit of
+    its own (`_bits`).  One depth-first search grows the paths in
     `_PAIR_ORDER`, each along the order of those entries, on one state: the
-    bitmask `used` of the edges on the paths so far, the set `taken` of
-    the branch vertices and every inner vertex so far, the stack `steps`
-    of (edge id, far end) steps, whose slice from a path's first step is
-    that path, the list `done` of the finished paths with their signs,
-    and `free[i]`, the count of unused edges at quad[i] whose far end is
-    not an inner vertex.  `hits[o]` lists the branch index of each edge
-    between a non-branch vertex o and quad: a step onto o as an inner
-    vertex takes those edges out of `free`, and a path that is one direct
-    edge takes that edge out at both of its ends.  Everything is marked
-    on the way down and cleared on the way back (`used` is passed down,
-    so a return clears it).
+    bitmask `used` of the edges on the paths so far, the bitmask `taken`,
+    by bits, of the branch vertices and every inner vertex so far, the
+    stack `steps` of (edge id, far end) steps, whose slice from a path's
+    first step is that path, the list `done` of the finished paths with
+    their signs, and `free[i]`, the count of unused edges at quad[i] whose
+    far end is not an inner vertex.  `hits[o]` lists the branch index of
+    each edge between a non-branch vertex o and quad: a step onto o as an
+    inner vertex takes those edges out of `free`, and a path that is one
+    direct edge takes that edge out at both of its ends.  `used` and
+    `taken` are passed down, so a return clears them; everything else is
+    marked on the way down and cleared on the way back.
 
     The prune: each path after path pi needs an edge of its own at each of
     its two ends, one that is unused and does not lead to a vertex taken
@@ -148,12 +149,12 @@ def _path_systems(adj: dict, quad: tuple,
     left out of that count, as its last edge may come from an inner vertex
     it already took.  A direct edge needs no check: when path pi starts,
     both its ends still hold one edge more than the later paths need.
-    Only subtrees without a system are cut, so the systems and their order
-    are those of the unpruned search.
 
-    Given look, the search is `_grow_ahead`, which also cuts every subtree
-    where `look.completable` finds a triangle that can no longer close
-    negative; the systems and their order stay the same.
+    Given look, every step onto an inner vertex and every path boundary
+    also asks `look.completable` whether each triangle not yet closed can
+    still close negative, and a step where one cannot is skipped.  Both
+    cuts open only subtrees without a system, so the systems and their
+    order are those of the unpruned search.
     """
     hits: dict = {}
     for i, x in enumerate(quad):
@@ -161,18 +162,15 @@ def _path_systems(adj: dict, quad: tuple,
             if o not in quad:
                 hits.setdefault(o, []).append(i)
     free = [len(adj[x]) for x in quad]
-    if look is None:
-        return _grow(adj, quad, hits, free, set(quad), [], [], 0, 0, quad[0],
-                     POS, 0)
-    ends = tuple([look.index[x] for x in quad])
-    region = ((1 << len(adj)) - 1) ^ sum([1 << i for i in ends])
-    return _grow_ahead(look, quad, ends, hits, free, region, [], [], 0, 0,
-                       quad[0], POS, 0)
+    taken = sum([bits[x] for x in quad])
+    return _grow(adj, quad, bits, hits, free, taken, [], [], 0, 0, quad[0],
+                 POS, 0, look)
 
 
-def _grow(adj: dict, quad: tuple, hits: dict, free: list, taken: set,
-          steps: list, done: list, used: int, pi: int, v, sign: int,
-          begin: int) -> Iterator[tuple]:
+def _grow(adj: dict, quad: tuple, bits: dict, hits: dict, free: list,
+          taken: int, steps: list, done: list, used: int, pi: int, v,
+          sign: int, begin: int, look: Optional[_Lookahead]
+          ) -> Iterator[tuple]:
     """`_path_systems` from path pi, grown as far as v with the given
     sign, its first step at steps[begin]."""
     a, b = _PAIR_ORDER[pi]
@@ -195,16 +193,18 @@ def _grow(adj: dict, quad: tuple, hits: dict, free: list, taken: set,
                 if pi == 5:
                     yield tuple([p for p, _ in done])
                 else:
-                    yield from _grow(adj, quad, hits, free, taken, steps,
-                                     done, used | 1 << eid, pi + 1,
-                                     quad[_PAIR_ORDER[pi + 1][0]], POS,
-                                     len(steps))
+                    x = quad[_PAIR_ORDER[pi + 1][0]]
+                    if look is None or look.completable(
+                            quad, done, pi + 1, bits[x], POS, taken):
+                        yield from _grow(adj, quad, bits, hits, free,
+                                         taken, steps, done, used | 1 << eid,
+                                         pi + 1, x, POS, len(steps), look)
             done.pop()
             steps.pop()
             if direct:
                 free[a] += 1
                 free[b] += 1
-        elif o not in taken:
+        elif not taken & bits[o]:
             ends = hits.get(o, ())
             fits = True
             for i in ends:
@@ -212,12 +212,14 @@ def _grow(adj: dict, quad: tuple, hits: dict, free: list, taken: set,
                 if free[i] < later[i]:
                     fits = False
             if fits:
-                taken.add(o)
-                steps.append((eid, o))
-                yield from _grow(adj, quad, hits, free, taken, steps, done,
-                                 used | 1 << eid, pi, o, sign * s, begin)
-                steps.pop()
-                taken.remove(o)
+                now = taken | bits[o]
+                if look is None or look.completable(
+                        quad, done, pi, bits[o], sign * s, now):
+                    steps.append((eid, o))
+                    yield from _grow(adj, quad, bits, hits, free, now,
+                                     steps, done, used | 1 << eid, pi, o,
+                                     sign * s, begin, look)
+                    steps.pop()
             for i in ends:
                 free[i] += 1
 
@@ -225,34 +227,33 @@ def _grow(adj: dict, quad: tuple, hits: dict, free: list, taken: set,
 class _Lookahead:
     """The sign-parity lookahead of one `find_k4_minus_subdivision` call.
 
-    Vertices are numbered in adj's order.  `adj` repeats adj's entries with
-    the far end's number i and bit 1 << i, `pos[i]`/`neg[i]` mask vertex
-    i's neighbours across positive/negative edges, and `memo` keeps
-    `reach` by (region, source) for the call.
+    Vertex i is the one whose bit is 1 << i in bits.  `pos[i]`/`neg[i]`
+    mask vertex i's neighbours across positive/negative edges in adj,
+    `every` masks all vertices, and `memo` keeps `reach` by (taken,
+    source) for the call.
     """
 
-    __slots__ = ("index", "adj", "pos", "neg", "memo")
+    __slots__ = ("bits", "pos", "neg", "every", "memo")
 
-    def __init__(self, adj: dict):
-        self.index = index = {v: i for i, v in enumerate(adj)}
-        self.adj = {v: [(eid, o, s, 1 << index[o], index[o])
-                        for eid, o, s in entries]
-                    for v, entries in adj.items()}
-        self.pos, self.neg = [0] * len(adj), [0] * len(adj)
+    def __init__(self, adj: dict, bits: dict):
+        self.bits = bits
+        self.pos, self.neg = [0] * len(bits), [0] * len(bits)
         for v, entries in adj.items():
+            i = bits[v].bit_length() - 1
             for _, o, s in entries:
-                (self.pos if s == POS else self.neg)[index[v]] |= 1 << index[o]
+                (self.pos if s == POS else self.neg)[i] |= bits[o]
+        self.every = (1 << len(bits)) - 1
         self.memo: dict = {}
 
-    def reach(self, region: int, x: int) -> tuple:
-        """(even, odd): the masks of the vertices that a walk from vertex x
-        with its inner vertices in region reaches across an even / odd
-        number of negative edges."""
-        found = self.memo.get((region, x))
+    def reach(self, taken: int, x: int) -> tuple:
+        """(even, odd): the masks of the vertices that a walk from the
+        vertex of bit x with its inner vertices outside taken reaches
+        across an even / odd number of negative edges."""
+        found = self.memo.get((taken, x))
         if found is not None:
             return found
-        pos, neg = self.pos, self.neg
-        even = fresh_even = 1 << x
+        pos, neg, region = self.pos, self.neg, self.every ^ taken
+        even = fresh_even = x
         odd = fresh_odd = 0
         while fresh_even or fresh_odd:
             if fresh_even:
@@ -267,18 +268,18 @@ class _Lookahead:
             odd |= o
             fresh_even |= e & region
             fresh_odd |= o & region
-        found = self.memo[region, x] = (even, odd)
+        found = self.memo[taken, x] = (even, odd)
         return found
 
-    def completable(self, ends: tuple, done: list, pi: int, v: int,
-                    sign: int, region: int) -> bool:
+    def completable(self, quad: tuple, done: list, pi: int, v: int,
+                    sign: int, taken: int) -> bool:
         """Whether every triangle left open while path pi grows, as far as
-        vertex v with the given sign, can still close negative through
-        region; ends numbers the branch vertices.
+        the vertex of bit v with the given sign, can still close negative
+        through the vertices outside taken.
 
         What is left of an open triangle is a walk between the ends of its
         known part through its other branch vertices, so a completion
-        needs, between each pair in turn, a walk inside region of some
+        needs, between each pair in turn, a walk outside taken of some
         sign, and those signs times the known ones must be NEG.  The walks
         relax the paths (they may cross each other and reuse vertices), so
         a False opens only subtrees without a system.
@@ -292,71 +293,14 @@ class _Lookahead:
             for x, y in rest:
                 walks = reached[x]
                 if walks is None:
-                    walks = reached[x] = self.reach(region, ends[x])
-                y = v if y is None else ends[y]
-                have = _TIMES[have][(walks[0] >> y & 1)
-                                    | (walks[1] >> y & 1) << 1]
+                    walks = reached[x] = self.reach(taken,
+                                                    self.bits[quad[x]])
+                y = v if y is None else self.bits[quad[y]]
+                have = _TIMES[have][bool(walks[0] & y)
+                                    | bool(walks[1] & y) << 1]
             if not have & 2:
                 return False
         return True
-
-
-def _grow_ahead(look: _Lookahead, quad: tuple, ends: tuple, hits: dict,
-                free: list, region: int, steps: list, done: list, used: int,
-                pi: int, v, sign: int, begin: int) -> Iterator[tuple]:
-    """`_grow` with the sign-parity lookahead, `_Lookahead.completable`,
-    at every step onto an inner vertex and at every path boundary; ends
-    numbers quad, and region masks the vertices neither in quad nor
-    taken."""
-    a, b = _PAIR_ORDER[pi]
-    y = quad[b]
-    later = _LATER[pi]
-    for eid, o, s, bit, oi in look.adj[v]:
-        if used >> eid & 1:
-            continue
-        if o == y:
-            direct = begin == len(steps)
-            if direct:
-                free[a] -= 1
-                free[b] -= 1
-            steps.append((eid, o))
-            path = steps[begin:]
-            done.append((((quad[a], y), tuple([e for e, _ in path]),
-                          (quad[a], *[w for _, w in path])), sign * s))
-            if all([done[i][1] * done[j][1] * done[k][1] == NEG
-                    for i, j, k in _TRIANGLES[pi]]):
-                if pi == 5:
-                    yield tuple([p for p, _ in done])
-                else:
-                    x = _PAIR_ORDER[pi + 1][0]
-                    if look.completable(ends, done, pi + 1, ends[x], POS,
-                                        region):
-                        yield from _grow_ahead(look, quad, ends, hits, free,
-                                               region, steps, done,
-                                               used | 1 << eid, pi + 1,
-                                               quad[x], POS, len(steps))
-            done.pop()
-            steps.pop()
-            if direct:
-                free[a] += 1
-                free[b] += 1
-        elif region & bit:
-            hit = hits.get(o, ())
-            fits = True
-            for j in hit:
-                free[j] -= 1
-                if free[j] < later[j]:
-                    fits = False
-            if fits and look.completable(ends, done, pi, oi, sign * s,
-                                         region ^ bit):
-                steps.append((eid, o))
-                yield from _grow_ahead(look, quad, ends, hits, free,
-                                       region ^ bit, steps, done,
-                                       used | 1 << eid, pi, o, sign * s,
-                                       begin)
-                steps.pop()
-            for j in hit:
-                free[j] += 1
 
 
 def _adjacency(g: SignedGraph, eids: Iterable[int]) -> dict:
@@ -371,6 +315,11 @@ def _adjacency(g: SignedGraph, eids: Iterable[int]) -> dict:
     return adj
 
 
+def _bits(adj: dict) -> dict:
+    """A bit of its own for each vertex of adj, in adj's order."""
+    return {v: 1 << i for i, v in enumerate(adj)}
+
+
 def _quadruples(g: SignedGraph, adj: dict) -> Iterator[tuple]:
     """The branch quadruples, ascending by vertex index."""
     candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
@@ -382,8 +331,9 @@ def _iter_k4_minus_subdivisions(g: SignedGraph,
                                 allowed: Optional[frozenset] = None
                                 ) -> Iterator[K4MinusSubdivision]:
     adj = _adjacency(g, range(g.m) if allowed is None else sorted(allowed))
+    bits = _bits(adj)
     for quad in _quadruples(g, adj):
-        for system in _path_systems(adj, quad):
+        for system in _path_systems(adj, quad, bits):
             yield K4MinusSubdivision(quad, system)
 
 
@@ -399,14 +349,11 @@ def find_k4_minus_subdivision(g: SignedGraph
     guards.check(g.m, guards.QUADRUPLE_SEARCH_MAX_EDGES,
                  "quadruple search (edges)")
     adj, look = _adjacency(g, range(g.m)), None
-    # past the gate, the lookahead runs where a branch vertex has an edge to
-    # spare over the three paths it ends
-    spare = {v for v, entries in adj.items() if len(entries) > 3}
+    bits = _bits(adj)
     for count, quad in enumerate(_quadruples(g, adj)):
-        ahead = count >= _GATE and not spare.isdisjoint(quad)
-        if ahead and look is None:
-            look = _Lookahead(adj)
-        system = next(_path_systems(adj, quad, look if ahead else None), None)
+        if count == _GATE:
+            look = _Lookahead(adj, bits)
+        system = next(_path_systems(adj, quad, bits, look), None)
         if system is not None:
             return K4MinusSubdivision(quad, system)
     return None
@@ -438,7 +385,7 @@ def _k4_minus_edge_set(g: SignedGraph, es: frozenset) -> bool:
         return False
     adj = _adjacency(g, es)
     branch = tuple(v for v, entries in adj.items() if len(entries) == 3)
-    system = next(_path_systems(adj, branch), ())
+    system = next(_path_systems(adj, branch, _bits(adj)), ())
     return sum(len(eids) for _, eids, _ in system) == len(es)
 
 

@@ -349,30 +349,41 @@ def test_prune_cuts_the_search(monkeypatch):
 
 
 def test_lookahead_cuts_the_search_past_the_gate(monkeypatch):
-    # deterministic node counts of find on graphs without a K4-: the first
-    # _GATE quadruples on the plain search, the rest on the lookahead
-    # (1053 / 8415 / 49049 nodes on the plain search alone)
-    nodes = []
+    # deterministic node counts of find on graphs without a K4-, as (plain,
+    # lookahead): the first _GATE quadruples on the plain search, the rest
+    # on the lookahead (1053 / 8415 / 49049 nodes on the plain search alone)
+    grow, nodes = structure._grow, []
 
-    def counted(grow):
-        def count(*args):
-            nodes.append(grow)
-            return grow(*args)
-        return count
+    def counted(*args):
+        nodes.append(args[-1] is not None)
+        return grow(*args)
 
-    plain, ahead = structure._grow, structure._grow_ahead
-    monkeypatch.setattr(structure, "_grow", counted(plain))
-    monkeypatch.setattr(structure, "_grow_ahead", counted(ahead))
+    monkeypatch.setattr(structure, "_grow", counted)
     counts = []
     for t in (1, 2, 3):
         nodes.clear()
         assert find_k4_minus_subdivision(ghat_planar(t)[0]) is None
-        counts.append(len(nodes))
-    assert structure._GATE == 12 and counts == [346, 1184, 3760]
+        counts.append((nodes.count(False), nodes.count(True)))
+    assert structure._GATE == 12
+    assert counts == [(284, 62), (731, 453), (2169, 1591)]
     nodes.clear()
     witness = find_k4_minus_subdivision(_WITNESS_PAST_THE_GATE)
     assert witness == next(_unpruned_subdivisions(_WITNESS_PAST_THE_GATE))
-    assert nodes[-1] is ahead
+    assert nodes[-1]
+
+
+@given(st.one_of(signed_graphs(max_n=8, max_m=16), part_unions(max_m=16)))
+@example(ghat_planar(1)[0])
+@settings(max_examples=60, deadline=None)
+def test_lookahead_keeps_every_system_in_order(g):
+    # the oracle test sees only find's first witness past the gate; here
+    # every quadruple's systems are listed with and without the lookahead
+    adj = structure._adjacency(g, range(g.m))
+    bits = structure._bits(adj)
+    look = structure._Lookahead(adj, bits)
+    for quad in structure._quadruples(g, adj):
+        assert (list(structure._path_systems(adj, quad, bits, look))
+                == list(structure._path_systems(adj, quad, bits)))
 
 
 @given(signed_graphs(max_n=7, max_m=12, loops=False), st.data())
@@ -380,23 +391,23 @@ def test_lookahead_cuts_the_search_past_the_gate(monkeypatch):
 def test_parity_reach_covers_every_simple_path(g, data):
     # the lookahead may cut only where no path of the needed sign exists
     adj = structure._adjacency(g, range(g.m))
-    look = structure._Lookahead(adj)
-    region = data.draw(st.integers(0, (1 << len(adj)) - 1))
-    vertex = {i: v for v, i in look.index.items()}
+    bits = structure._bits(adj)
+    look = structure._Lookahead(adj, bits)
+    taken = data.draw(st.integers(0, look.every))
 
     def paths(v, sign, seen):
         # (end, sign) of every simple path from v whose inner vertices lie
-        # in region
+        # outside taken
         for _, o, s in adj[v]:
             if o not in seen:
                 yield o, sign * s
-                if region >> look.index[o] & 1:
+                if not taken & bits[o]:
                     yield from paths(o, sign * s, seen | {o})
 
-    for x in range(len(adj)):
-        even, odd = look.reach(region, x)
-        for o, sign in paths(vertex[x], POS, {vertex[x]}):
-            assert (even if sign == POS else odd) >> look.index[o] & 1
+    for v in adj:
+        even, odd = look.reach(taken, bits[v])
+        for o, sign in paths(v, POS, {v}):
+            assert (even if sign == POS else odd) & bits[o]
 
 
 def test_packing_equality_without_subdivision():
