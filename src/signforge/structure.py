@@ -49,7 +49,7 @@ keeps searches that find a witness within a few quadruples, most of the
 catalog among them, off the lookahead, whose walk searches made them two
 to three times slower.  Where all four branch vertices have degree 3 the
 edge prune leaves it little to cut, and random signed cubic graphs
-(n = 12) take about 1.25 times as long as on the plain search.  The
+(n = 12) take about 1.2 times as long as on the plain search.  The
 enumeration (`k4_minus_subdivision_edge_sets`) and the edge-set test
 keep the plain search: the test's paths are forced, and most of the
 enumeration's subtrees hold systems, so there the lookahead costs more
