@@ -202,8 +202,8 @@ class SignedGraph:
         """Edge-induced subgraph: only the endpoints of kept edges survive."""
         keep = set(eids)
         kept = [e for e in self.edges if e.eid in keep]
-        vs = tuple(v for v in self.vertices
-                   if any(v in (e.u, e.v) for e in kept))
+        ends = {v for e in kept for v in (e.u, e.v)}
+        vs = tuple(v for v in self.vertices if v in ends)
         return SignedGraph(
             vs, tuple(Edge(i, e.u, e.v, e.sign) for i, e in enumerate(kept))
         )

@@ -13,21 +13,36 @@ of index >= 2 minus one of its negative loops is critical again, one
 index lower, so a non-decomposable part of index >= 2 has no loop.  The
 loops are set aside first.
 
-One recursion serves every index.  At each node it takes the part
-holding the lowest open edge e0, with a budget b of index left.  Either
-that part is a negative cycle through e0, and is branched on, or it has
-index j >= 2 and is the last part taken: everything that remains minus a
-family F of later parts, which avoid e0 and have indices summing to
-b - j.  F is drawn, once per unordered family, from three sources: the
-negative cycles (index 1), the K4- subdivisions (index 2) and, only
-when b >= 5, a guarded subset search for non-decomposable critical parts
-of index >= 3.  The last part is then tested, not searched for: at
-j = 2 by the K4- path search on that edge set alone (`_k4_minus_edge_set`),
-linear since the set needs four vertices of degree 3 and the rest of
-degree 2, which forces every path out of the four; at j >= 3 by a
-criticality check and a recursive decomposition search.  The other parts
-of a partition avoid its part through e0, so they are exactly such an F;
-the search is complete at every index and emits each partition once.
+One recursion serves every index, on int edge masks.  At each node it
+takes the part holding the lowest open edge e0, with a budget b of index
+left.  Either that part is a negative cycle through e0, and is branched
+on, or it has index j >= 2 and is the last part taken: everything that
+remains minus a family F of later parts, which avoid e0 and have indices
+summing to b - j.  The cycle branch visits only live cycles.  A table
+transposed once per search, `through[e]`, masks over cycle indices the
+negative cycles through edge e, and each node carries the mask `dead` of
+the cycles that share an edge with a cycle taken, the OR of `through`
+over its edges; every other cycle through an open edge lies in what
+remains, so the candidates are `through[e0] & ~dead`, in ascending
+cycle order, with no subset test.  At b = 1 the last part is what
+remains, found by one lookup among the cycle masks.  F is drawn, once
+per unordered family, from three sources: the negative cycles (index 1),
+the K4- subdivisions (index 2) and, only when b >= 5, a guarded subset
+search for non-decomposable critical parts of index >= 3.  The last part
+is then tested, not searched for: at j = 2 by the K4- path search on
+that edge set alone (`_k4_minus_edge_set`), linear since the set needs
+four vertices of degree 3 and the rest of degree 2, which forces every
+path out of the four; at j >= 3 by a criticality check and a recursive
+decomposition search.  The other parts of a partition avoid its part
+through e0, so they are exactly such an F; the search is complete at
+every index and emits each partition once.
+
+The j = 2 test is skipped where parity rules it out.  A cycle is an even
+subgraph, so removing one keeps every vertex's degree parity; a node
+reached through cycles alone, with a family of cycles alone, leaves a
+last part with the odd-degree vertices of the non-loop edges, and a K4-
+has exactly four.  That count is taken once per search, so on the
+4-regular ladders ghat(t) no K4- test is made at all.
 
 The K4- subdivisions come from one depth-first search per quadruple of
 branch vertices, which grows the six connecting paths in turn
@@ -367,26 +382,35 @@ def k4_minus_subdivision_edge_sets(g: SignedGraph,
     return tuple(sorted(out, key=sorted))
 
 
-def _k4_minus_edge_set(g: SignedGraph, es: frozenset) -> bool:
-    """Whether es is the edge set of an all-negative-K4 subdivision, that
-    is ``es in k4_minus_subdivision_edge_sets(g)``.
+def _ids(mask: int) -> list:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    es needs no loop, four vertices of degree 3 and every other vertex it
-    meets of degree 2, read off the incidence masks, which rejects most
-    sets before any adjacency is built.  Then every path out of the four
-    is forced, `_path_systems` on es alone finds at most one system in
-    linear time, and es is one when that system uses every edge.
+
+def _k4_minus_edge_set(g: SignedGraph, es: int) -> bool:
+    """Whether the edge mask es is the edge set of an all-negative-K4
+    subdivision, that is ``frozenset(_ids(es)) in
+    k4_minus_subdivision_edge_sets(g)``.
+
+    es needs four vertices of degree 3 and every other vertex it meets of
+    degree 2, read off the incidence masks, which rejects most sets before
+    any adjacency is built.  Then every path out of the four is forced,
+    `_path_systems` on es alone finds at most one system in linear time,
+    and es is one when that system uses every edge; a loop, which no path
+    uses, fails that count.
     """
-    if not es.isdisjoint(g.loop_edge_ids):
-        return False
-    mask = sum(1 << eid for eid in es)
-    degree = [(m & mask).bit_count() for m in g.incidence_masks.values()]
+    degree = [(m & es).bit_count() for m in g.incidence_masks.values()]
     if degree.count(3) != 4 or degree.count(2) + degree.count(0) != g.n - 4:
         return False
-    adj = _adjacency(g, es)
+    adj = _adjacency(g, _ids(es))
     branch = tuple(v for v, entries in adj.items() if len(entries) == 3)
     system = next(_path_systems(adj, branch, _bits(adj)), ())
-    return sum(len(eids) for _, eids, _ in system) == len(es)
+    return sum(len(eids) for _, eids, _ in system) == es.bit_count()
 
 
 # -- packing vs frustration (subdivision-free equality) --------------------------
@@ -552,50 +576,46 @@ def _normalize(parts) -> Decomposition:
     return Decomposition(tuple(sorted(parts, key=lambda p: (p[1], sorted(p[0])))))
 
 
-def _critical_part(g: SignedGraph, part: frozenset, lo: int, hi: int) -> int:
-    """The index j of g restricted to part if lo <= j <= hi, the part is
-    critically j-frustrated and it has no decomposition; else 0.  One
-    `certify` scan gives both the index and the verdict."""
-    sub = g.restrict(part)
+def _critical_part(g: SignedGraph, part: int, lo: int, hi: int) -> int:
+    """The index j of g restricted to the edge mask part if lo <= j <= hi,
+    the part is critically j-frustrated and it has no decomposition; else
+    0.  One `certify` scan gives both the index and the verdict."""
+    sub = g.restrict(_ids(part))
     cert = certify(sub)
     return cert.k if lo <= cert.k <= hi and cert.critical and not any(
         True for _ in _decomposition_stream(sub, cert.k)) else 0
 
 
-def _large_parts(g: SignedGraph, edges: frozenset, top: int,
-                 cycles: list) -> list:
-    """Non-decomposable critical edge sets of index 3..top inside edges,
-    by subset search, sorted by (index, edge ids).  cycles lists the
-    negative cycles of g."""
-    guards.check(len(edges), guards.PARTITION_SEARCH_MAX_EDGES,
+def _large_parts(g: SignedGraph, edges: int, top: int, cycles: list) -> list:
+    """Non-decomposable critical parts of index 3..top inside the edge mask
+    edges, by subset search, as (edge mask, index) pairs sorted by (index,
+    edge ids).  cycles lists the edge masks of the negative cycles of g."""
+    guards.check(edges.bit_count(), guards.PARTITION_SEARCH_MAX_EDGES,
                  "partition search")
-    ids = sorted(edges)
-    bit = {e: 1 << i for i, e in enumerate(ids)}
-    masks = [sum(map(bit.__getitem__, c)) for c in cycles if c <= edges]
+    inside = [c for c in cycles if not c & ~edges]
     out = []
-    for s in range(1, 1 << len(ids)):
+    s = (-edges) & edges  # the submasks of edges, ascending
+    while s:
         # every edge of a critical part lies on a negative cycle inside it
         cover = 0
-        for c in masks:
+        for c in inside:
             if not c & ~s:
                 cover |= c
-        if cover != s:
-            continue
-        es = frozenset(e for e in ids if bit[e] & s)
-        j = _critical_part(g, es, 3, top)
-        if j:
-            out.append((es, j))
-    return sorted(out, key=lambda p: (p[1], sorted(p[0])))
+        if cover == s:
+            j = _critical_part(g, s, 3, top)
+            if j:
+                out.append((s, j))
+        s = (s - edges) & edges
+    return sorted(out, key=lambda p: (p[1], _ids(p[0])))
 
 
-def _families(members: list, room: int, start: int = 0,
-              used: frozenset = frozenset(), total: int = 0,
-              chosen: tuple = ()) -> Iterator[tuple]:
+def _families(members: list, room: int, start: int = 0, used: int = 0,
+              total: int = 0, chosen: tuple = ()) -> Iterator[tuple]:
     """Every family of pairwise disjoint members whose indices sum to at
-    most room, once each and in list order: (union, index sum, family).
-    members are (edge set, index) pairs sorted by index; the other
-    arguments are the recursion's: the family so far and where the next
-    member may start."""
+    most room, once each and in list order: (union mask, index sum,
+    family).  members are (edge mask, index) pairs sorted by index; the
+    other arguments are the recursion's: the family so far and where the
+    next member may start."""
     yield used, total, chosen
     for i in range(start, len(members)):
         es, j = members[i]
@@ -606,39 +626,118 @@ def _families(members: list, room: int, start: int = 0,
                                  chosen + ((es, j),))
 
 
-def _search(g: SignedGraph, cycles_by_edge: dict, source: Callable,
-            remaining: frozenset, budget: int, parts: tuple) -> Iterator:
-    """`_decomposition_stream`'s recursion on the lowest open edge."""
+class _Stream:
+    """The tables of one `_decomposition_stream` call.
+
+    cycles are g's negative cycles, masks[i] the edge mask of cycles[i],
+    through[e] the mask, over cycle indices, of the cycles through edge e,
+    and known the set of the masks.  rest masks the non-loop edges and
+    budget is the index they share; odd4 says whether rest has exactly
+    four odd-degree vertices.  sources memoizes `source` and edge_sets
+    the edge set of each part emitted, so partitions share their parts.
+    """
+
+    __slots__ = ("g", "cycles", "masks", "through", "known", "rest",
+                 "budget", "odd4", "sources", "edge_sets")
+
+    def __init__(self, g: SignedGraph, cycles: tuple, budget: int):
+        self.g, self.cycles = g, cycles
+        self.masks = [sum(1 << e for e in c.edge_ids) for c in cycles]
+        self.through = [0] * g.m
+        for i, c in enumerate(cycles):
+            for e in c.edge_ids:
+                self.through[e] |= 1 << i
+        self.known = set(self.masks)
+        self.rest = (1 << g.m) - 1 - sum(1 << e for e in g.loop_edge_ids)
+        self.budget = budget
+        self.odd4 = sum(mask.bit_count() & 1
+                        for mask in g.incidence_masks.values()) == 4
+        self.sources: dict = {}
+        self.edge_sets: dict = {}
+
+    def source(self, j: int) -> list:
+        """The (edge mask, j) parts of index j that avoid the lowest edge
+        of rest: the later parts at any node avoid the root's lowest edge,
+        so each source is drawn once, inside the root's other edges."""
+        if j not in self.sources:
+            avail = self.rest & (self.rest - 1)
+            if j == 1:
+                self.sources[1] = [(c, 1) for c in self.masks
+                                   if not c & ~avail]
+            elif j == 2:
+                self.sources[2] = [
+                    (sum(1 << e for e in es), 2) for es in
+                    k4_minus_subdivision_edge_sets(self.g,
+                                                   frozenset(_ids(avail)))]
+            else:
+                large = _large_parts(self.g, avail, self.budget - 2,
+                                     self.masks)
+                for i in range(3, self.budget - 1):
+                    self.sources[i] = [p for p in large if p[1] == i]
+        return self.sources[j]
+
+    def decomposition(self, parts: tuple) -> Decomposition:
+        """The partition into the (edge mask, index) pairs of parts."""
+        memo = self.edge_sets
+        return _normalize([(memo.get(es) or memo.setdefault(
+            es, frozenset(_ids(es))), j) for es, j in parts])
+
+
+def _search(s: _Stream, remaining: int, budget: int, dead: int,
+            parts: tuple) -> Iterator:
+    """`_decomposition_stream`'s recursion on the lowest open edge.
+
+    remaining masks the open edges and parts holds the (edge mask, index)
+    pairs taken, the loops and then cycles; dead masks, over cycle
+    indices, the negative cycles that share an edge with a cycle taken,
+    so every other cycle through an open edge lies inside remaining.
+    """
     if not remaining:
         if budget == 0 and len(parts) >= 2:
-            yield _normalize(parts)
+            yield s.decomposition(parts)
         return
     if budget <= 0:
         return
-    e0 = min(remaining)
-    # the part holding e0 is a negative cycle ...
-    for cyc in cycles_by_edge[e0]:
-        if cyc <= remaining:
-            yield from _search(g, cycles_by_edge, source, remaining - cyc,
-                               budget - 1, parts + ((cyc, 1),))
     if budget == 1:
+        # the one part left is a negative cycle: remaining itself
+        if parts and remaining in s.known:
+            yield s.decomposition(parts + ((remaining, 1),))
         return
+    low = remaining & -remaining
+    through, g = s.through, s.g
+    # the part holding e0 is a live negative cycle through it ...
+    live = through[low.bit_length() - 1] & ~dead
+    while live:
+        bit = live & -live
+        live ^= bit
+        i = bit.bit_length() - 1
+        cyc, now = s.masks[i], dead
+        for e in s.cycles[i].edge_ids:
+            now |= through[e]
+        yield from _search(s, remaining ^ cyc, budget - 1, now,
+                           parts + ((cyc, 1),))
     # ... or of index j >= 2 and the last one: what the later parts, a
-    # family avoiding e0, leave over; at budget 2 that family is empty
+    # family avoiding e0, leave over; at budget 2 that family is empty.
+    # Cycles are even, so a family of cycles alone leaves the odd-degree
+    # vertices of rest, and a K4- has four
     if budget == 2:
-        if parts and _k4_minus_edge_set(g, remaining):
-            yield _normalize(parts + ((remaining, 2),))
+        if parts and s.odd4 and _k4_minus_edge_set(g, remaining):
+            yield s.decomposition(parts + ((remaining, 2),))
         return
-    avail = remaining - {e0}
-    members = [p for j in range(1, budget - 1) for p in source(j)
-               if p[0] <= avail]
+    avail = remaining ^ low
+    members = [p for j in range(1, budget - 1) for p in s.source(j)
+               if not p[0] & ~avail]
     for used, total, family in _families(members, budget - 2):
         if not (parts or family):
             continue  # a single part is no partition
-        last, j = remaining - used, budget - total
-        if (_k4_minus_edge_set(g, last) if j == 2
-                else _critical_part(g, last, j, j)):
-            yield _normalize(parts + family + ((last, j),))
+        last, j = remaining & ~used, budget - total
+        if j >= 3:
+            found = _critical_part(g, last, j, j)
+        else:
+            found = ((s.odd4 or total > len(family))
+                     and _k4_minus_edge_set(g, last))
+        if found:
+            yield s.decomposition(parts + family + ((last, j),))
 
 
 def _decomposition_stream(g: SignedGraph, k: Optional[int]
@@ -649,36 +748,12 @@ def _decomposition_stream(g: SignedGraph, k: Optional[int]
         k = frustration_index(g).index
     if k < 2 or g.m == 0:
         return
-    neg_sets = [c.edge_set for c in negative_cycles(g)]
-    cycles_by_edge: dict = {}
-    for cyc in neg_sets:
-        for eid in cyc:
-            cycles_by_edge.setdefault(eid, []).append(cyc)
-    if len(cycles_by_edge) < g.m:
+    loops = tuple((1 << e, 1) for e in sorted(g.loop_edge_ids))
+    s = _Stream(g, negative_cycles(g), k - len(loops))
+    if not all(s.through):
         return  # an edge on no negative cycle lies in no critical part
     # every loop is now negative, and a part on its own
-    loops = tuple((frozenset((e,)), 1) for e in sorted(g.loop_edge_ids))
-    rest = frozenset(range(g.m)) - g.loop_edge_ids
-    sources: dict = {}
-
-    def source(j: int) -> list:
-        # the later parts at any node avoid the root's lowest edge, so
-        # each source is drawn once, inside the root's other edges
-        if j not in sources:
-            root_avail = rest - {min(rest)}
-            if j == 1:
-                sources[1] = [(c, 1) for c in neg_sets if c <= root_avail]
-            elif j == 2:
-                sources[2] = [(es, 2) for es in
-                              k4_minus_subdivision_edge_sets(g, root_avail)]
-            else:
-                large = _large_parts(g, root_avail, k - len(loops) - 2,
-                                     neg_sets)
-                for i in range(3, k - len(loops) - 1):
-                    sources[i] = [p for p in large if p[1] == i]
-        return sources[j]
-
-    yield from _search(g, cycles_by_edge, source, rest, k - len(loops), loops)
+    yield from _search(s, s.rest, s.budget, 0, loops)
 
 
 def find_decompositions(g: SignedGraph, k: Optional[int] = None) -> tuple:

@@ -55,6 +55,18 @@ def test_cached_properties_are_computed_once_onto_the_instance():
         g.incidence_masks = {}
 
 
+def test_restrict_keeps_vertex_order_and_renumbers_edges():
+    g = build_graph([("d", "c", "-"), ("a", "a", "-"), ("b", "c", "+"),
+                     ("a", "d", "+"), ("e", "e", "+")], isolated=["f"])
+    sub = g.restrict([4, 2, 1])
+    # the endpoints of the kept edges, in g's vertex order: d and the
+    # isolated f go, and the loop keeps its one endpoint
+    assert sub.vertices == ("c", "a", "b", "e")
+    assert [(e.eid, e.u, e.v, e.sign) for e in sub.edges] == [
+        (0, "a", "a", NEG), (1, "b", "c", POS), (2, "e", "e", POS)]
+    assert g.restrict([]).vertices == () and g.restrict([]).m == 0
+
+
 def test_parse_serialize_round_trip_bit_exact():
     text = "a b +\na b -\nc c -\nvertex d\n"
     g = parse_sg(text)

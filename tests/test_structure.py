@@ -30,6 +30,11 @@ def k4_all_negative():
     return build_graph([(u, v, "-") for u in range(4) for v in range(u)])
 
 
+def is_k4_minus_edge_set(g, es):
+    """`_k4_minus_edge_set` on the edge mask of the edge ids es."""
+    return _k4_minus_edge_set(g, sum(1 << e for e in es))
+
+
 # -- subdivision / suppression -----------------------------------------------------
 
 
@@ -146,7 +151,7 @@ def test_linear_k4_minus_test_matches_the_enumerator(g):
     for r in range(g.m + 1):
         for combo in combinations(range(g.m), r):
             es = frozenset(combo)
-            assert _k4_minus_edge_set(g, es) == (es in sets)
+            assert is_k4_minus_edge_set(g, es) == (es in sets)
 
 
 def test_linear_k4_minus_test_on_catalog_edge_sets():
@@ -154,8 +159,8 @@ def test_linear_k4_minus_test_on_catalog_edge_sets():
         g = catalog.get(name).graph
         sets = k4_minus_subdivision_edge_sets(g)
         full = frozenset(range(g.m))
-        assert _k4_minus_edge_set(g, full) == (full in sets), name
-        assert all(_k4_minus_edge_set(g, es) for es in sets), name
+        assert is_k4_minus_edge_set(g, full) == (full in sets), name
+        assert all(is_k4_minus_edge_set(g, es) for es in sets), name
 
 
 def test_linear_k4_minus_test_rejects_near_misses():
@@ -174,7 +179,7 @@ def test_linear_k4_minus_test_rejects_near_misses():
     for name, (edges, expected) in cases.items():
         g = build_graph(edges)
         full = frozenset(range(g.m))
-        assert _k4_minus_edge_set(g, full) == expected, name
+        assert is_k4_minus_edge_set(g, full) == expected, name
         assert (full in k4_minus_subdivision_edge_sets(g)) == expected, name
 
 
@@ -195,7 +200,7 @@ def test_linear_k4_minus_test_near_edge_sets_past_ten_edges():
                 es | {f} for f in outside] + [
                 es - {e} | {f} for e in es for f in outside]
             for other in near:
-                assert _k4_minus_edge_set(g, other) == (other in sets)
+                assert is_k4_minus_edge_set(g, other) == (other in sets)
 
 
 def test_k4_minus_witness_follows_the_search_order():
@@ -545,6 +550,26 @@ def test_ladder_decomposition_counts(make, counts):
     assert {t: len(find_decompositions(make(t))) for t in counts} == counts
 
 
+@pytest.mark.parametrize("g", [ghat(1), ghat(2), ghat(3),
+                               ghat_planar(1)[0], ghat_planar(2)[0]],
+                         ids=["ghat1", "ghat2", "ghat3", "planar1", "planar2"])
+def test_ladder_decompositions_are_the_cycle_triples(g):
+    # every decomposition of these ladders is three negative cycles: each
+    # pair of disjoint negative cycles whose complement is a negative cycle,
+    # read off negative_cycles alone
+    cycles = [c.edge_set for c in negative_cycles(g)]
+    known = set(cycles)
+    everything = frozenset(range(g.m))
+    triples = {frozenset((a, b, everything - a - b))
+               for a, b in combinations(cycles, 2)
+               if not a & b and everything - a - b in known}
+    expected = sorted(tuple(sorted(map(sorted, t))) for t in triples)
+    got = find_decompositions(g)
+    assert all(d.kind == (1, 1, 1) for d in got)
+    assert [tuple(sorted(map(sorted, (p for p, _ in d.parts))))
+            for d in got] == expected
+
+
 def _partition_brute_force(g):
     """Brute force that does not call the search: partitions(edges, k) is
     every partition of the edge set edges into at least two blocks with
@@ -637,6 +662,20 @@ def test_loop_bouquet_splits_into_its_loops_without_part_tests(monkeypatch):
     ds = find_decompositions(build_graph([(0, 0, "-")] * 12))
     assert len(ds) == 1 and ds[0].kind == (1,) * 12
     assert calls == []
+
+
+def test_parity_skips_the_k4_minus_tests_it_rules_out(monkeypatch):
+    # cycles keep degree parity, so where the non-loop edges do not have
+    # exactly four odd vertices no last part of index 2 is a K4-
+    calls = []
+    tested = structure._k4_minus_edge_set
+    monkeypatch.setattr(structure, "_k4_minus_edge_set",
+                        lambda *args: calls.append(args) or tested(*args))
+    assert len(find_decompositions(ghat(4))) == 682
+    assert calls == []
+    two_loops = _disjoint_union(_K4, _LOOP, _LOOP)
+    assert [d.kind for d in find_decompositions(two_loops)] == [(1, 1, 2)]
+    assert calls
 
 
 def test_positive_loop_blocks_decomposition_at_every_k():
