@@ -52,9 +52,14 @@ class Edge:
         return frozenset((self.u, self.v))
 
 
-def _bits(mask: int) -> list:
+def _ids(mask: int) -> list:
     """The positions of the set bits of mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _mask_components(masks: Iterable[int]) -> list:

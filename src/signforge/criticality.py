@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import guards
-from .core import EdgeCut, SignedGraph, _bits
+from .core import EdgeCut, SignedGraph, _ids
 from .errors import PreconditionError
 from .frustration import _component_scans, _minimizer, _negative_loops
 
@@ -76,7 +76,7 @@ def equilibrated_cut_for_edge(g: SignedGraph, eid: int) -> Optional[EdgeCut]:
             if b >> eid & 1 and 2 * (b & neg).bit_count() == b.bit_count():
                 half = b.bit_count() // 2
                 return EdgeCut(frozenset((anchor, *combo)),
-                               frozenset(_bits(b)), half, half)
+                               frozenset(_ids(b)), half, half)
     return None
 
 
@@ -121,11 +121,11 @@ def _equilibrated_cuts(g: SignedGraph, scans: list, picks: list,
                 open_mask ^= hit
                 b = sides[side] | bound
                 half = b.bit_count() // 2
-                found.update(dict.fromkeys(_bits(hit), EdgeCut(
-                    frozenset([*base, *map(verts.__getitem__, _bits(side))]),
-                    frozenset(_bits(b)), half, half)))
+                found.update(dict.fromkeys(_ids(hit), EdgeCut(
+                    frozenset([*base, *map(verts.__getitem__, _ids(side))]),
+                    frozenset(_ids(b)), half, half)))
         if not c and len(scans) > 1:
-            base = list(map(verts.__getitem__, _bits(order[0])))
+            base = list(map(verts.__getitem__, _ids(order[0])))
             bound = sides[order[0]]
     return found
 
@@ -153,8 +153,8 @@ def _certify_signatures(g: SignedGraph, k: int, scans: list) -> tuple:
             hit = n & open_mask
             if hit:
                 open_mask ^= hit
-                sig = _bits(least ^ negs[0] ^ n)
-                witness.update((eid, list(sig)) for eid in _bits(hit))
+                sig = _ids(least ^ negs[0] ^ n)
+                witness.update((eid, list(sig)) for eid in _ids(hit))
     return None not in witness.values(), {"negative_in_signature": witness}
 
 

@@ -8,9 +8,13 @@ the maximum packing and the double cover are one exact search,
 `_least_family`, for the lexicographically least family of options
 (edges or cycles, as bitmasks) that hits every item (cycles or edges)
 between a lower and an upper number of times; each returns that search's
-deterministic, lex-least witness.  When every item must be hit exactly
-lo == hi times (the double cover), the search branches only on the block
-of options whose lowest item is the lowest item still short.
+deterministic, lex-least witness, read off one table, `_cycle_table`:
+the negative cycles, their edge masks and the cycles through each edge.
+A node picks only among its live options, a mask over option indices:
+those from its start on that hit no item already at the upper bound,
+and for the double cover only those through the lowest item still
+short.  A pick must also fit the length window that the count bounds
+leave its child.
 """
 
 from __future__ import annotations
@@ -84,41 +88,49 @@ def negative_cycles(g: SignedGraph) -> tuple:
 
 
 def _least_family(options: list, universe: int, size: int, lo: int,
-                  hi: Optional[int], repeat: int) -> Optional[tuple]:
+                  hi: Optional[int], repeat: int,
+                  hitters: Optional[list] = None) -> Optional[tuple]:
     """The lex-least ascending tuple of `size` indices into options, each
     index used at most `repeat` times, such that every item of universe
     is hit by between lo and hi of the chosen options (0 <= lo <= 2,
     hi 1, 2 or None for no upper bound), or None if there is none.
 
-    Options and universe are int bitmasks of items, every option within
-    the universe.  The search tries the indices in ascending order, so
-    the first family found is the lex-least.  A branch ends when an item
-    still short of lo is hit by no option from here on, or when the
-    picks left cannot supply the missing hits or cannot fit under hi;
-    failed states are remembered.
+    Options and universe are int bitmasks of items, every option
+    non-empty and within the universe; hitters[item] masks the options
+    that hit the item, built here when not given.  The search tries the
+    indices in ascending order, so the first family found is the
+    lex-least.  A branch ends when an item still short of lo is hit by no
+    option from here on, or when the picks left cannot supply the missing
+    hits or cannot fit under hi; failed states are remembered.  A node's
+    candidates are the indices from its start on minus `dead`, the OR of
+    hitters over the items at hi, whose length lies between the count
+    bounds applied to the child: they only tighten further down.
 
-    When lo == hi the options must come sorted by lowest item (checked;
-    the double cover's sorted edge-id tuples are).  Then every item below
-    the lowest short item e0 is full, so the next pick comes from e0's
-    block of options: earlier ones hit a full item, and later ones miss
-    e0 for good.  The loop starts at that block, and the failure memo
-    keys the state by the block's start.
+    When lo == hi the options must come sorted by lowest item (checked).
+    Then every item below the lowest short item e0 is full, so a live
+    option through e0 starts at e0: the candidates are e0's block,
+    `hitters[e0] & ~dead`, and the failure memo keys the state by the
+    block's start.
     """
     n = len(options)
     beyond = [0] * (n + 1)  # beyond[i]: the items options[i:] hit
     for i in range(n - 1, -1, -1):
         beyond[i] = beyond[i + 1] | options[i]
-    longest = max((o.bit_count() for o in options), default=0)
-    shortest = min((o.bit_count() for o in options), default=0)
+    lengths = [o.bit_count() for o in options]
+    longest, shortest = max(lengths, default=0), min(lengths, default=0)
     u = universe.bit_count()
     deep = 2 in (lo, hi)  # whether "hit twice" must be tracked
     lows = [o & -o for o in options]  # each option's lowest item, as a bit
     block = lo == hi
     if block and lows != sorted(lows):
         raise PreconditionError("options not sorted by lowest item")
-    dead = set()
+    if hi and hitters is None:
+        hitters = [sum(1 << j for j, o in enumerate(options) if o >> i & 1)
+                   for i in range(universe.bit_length())]
+    every = (1 << n) - 1
+    failed = set()
 
-    def step(start, uses, left, once, twice):
+    def step(start, uses, left, once, twice, dead, picked):
         # hits[t]: the hits so far, each item counted at most t times
         o = once.bit_count()
         hits = (0, o, o + twice.bit_count())
@@ -134,37 +146,57 @@ def _least_family(options: list, universe: int, size: int, lo: int,
             if first > start:
                 start, uses = first, 0
         key = (start, uses, left, once, twice)
-        if key in dead:
+        if key in failed:
             return None
-        full = (once, twice)[hi - 1] if hi else 0  # items at hi
-        for j in range(start, n):
+        if hi:
+            full = (once, twice)[hi - 1] & picked  # the items just filled
+            while full:
+                bit = full & -full
+                dead |= hitters[bit.bit_length() - 1]
+                full ^= bit
+        live = every >> start << start & ~dead
+        if block and short:
+            live &= hitters[(short & -short).bit_length() - 1]
+        top = hi * u - hits[hi] - (left - 1) * shortest if hi else longest
+        bottom = lo * u - hits[lo] - (left - 1) * longest
+        while live:
+            bit = live & -live
+            live ^= bit
+            j = bit.bit_length() - 1
             if short & ~beyond[j] or (n - j) * repeat < left:
                 break
-            opt = options[j]
-            if opt & full:
+            if not bottom <= lengths[j] <= top:
                 continue
+            opt = options[j]
             c = uses + 1 if j == start else 1
             found = step(*((j, c) if c < repeat else (j + 1, 0)), left - 1,
-                         once | opt, twice | once & opt if deep else 0)
+                         once | opt, twice | once & opt if deep else 0,
+                         dead, opt)
             if found is not None:
                 return (j,) + found
-        dead.add(key)
+        failed.add(key)
         return None
 
-    found = step(0, 0, size, 0, 0)
+    found = step(0, 0, size, 0, 0, 0, 0)
     del step  # a self-referencing closure: free its memo now, not at gc
     return found
 
 
-def _edge_mask(c: Cycle) -> int:
-    return sum(1 << eid for eid in c.edge_ids)
-
-
-def _sorted_negative_cycles(g: SignedGraph) -> list:
-    """The negative cycles of g ordered by sorted edge-id tuple, the order
-    in which packings and double covers are lex-least."""
-    return sorted(negative_cycles(g),
-                  key=lambda c: tuple(sorted(c.edge_ids)))
+def _cycle_table(g: SignedGraph, cycles: Optional[tuple] = None) -> tuple:
+    """The negative cycles of g by sorted edge-id tuple, the order in which
+    packings and double covers are lex-least (or the given cycles, in
+    their order), their edge masks and through[e], the mask over cycle
+    indices of the cycles through edge e."""
+    if cycles is None:
+        cycles = sorted(negative_cycles(g), key=lambda c: sorted(c.edge_ids))
+    masks, through = [], [0] * g.m
+    for i, c in enumerate(cycles):
+        bit, mask = 1 << i, 0
+        for e in c.edge_ids:
+            mask |= 1 << e
+            through[e] |= bit
+        masks.append(mask)
+    return cycles, masks, through
 
 
 def min_negative_cycle_cover(g: SignedGraph) -> tuple:
@@ -176,10 +208,9 @@ def min_negative_cycle_cover(g: SignedGraph) -> tuple:
     characterization this has the same size as the frustration index;
     the two are cross-checked in the oracle tests, not here.
     """
-    cycles = [c.edge_set for c in negative_cycles(g)]
-    pool = sorted(frozenset().union(*cycles))
-    options = [sum(1 << i for i, c in enumerate(cycles) if eid in c)
-               for eid in pool]
+    cycles, _, through = _cycle_table(g, negative_cycles(g))  # items: unsorted
+    pool = [e for e in range(g.m) if through[e]]
+    options = [through[e] for e in pool]
     universe = (1 << len(cycles)) - 1
     for size in range(len(pool) + 1):  # the whole pool is a cover
         found = _least_family(options, universe, size, 1, None, 1)
@@ -198,12 +229,11 @@ def max_edge_disjoint_negative_cycles(g: SignedGraph,
     soon as that many disjoint cycles are found, and the returned family
     is the lex-least with exactly stop_at members.
     """
-    cycles = _sorted_negative_cycles(g)
-    options = [_edge_mask(c) for c in cycles]
+    cycles, masks, through = _cycle_table(g)
     family = ()
     while len(family) != stop_at:
-        found = _least_family(options, (1 << g.m) - 1, len(family) + 1,
-                              0, 1, 1)
+        found = _least_family(masks, (1 << g.m) - 1, len(family) + 1,
+                              0, 1, 1, through)
         if found is None:
             break
         family = found
@@ -234,9 +264,9 @@ def negative_cycle_double_cover(g: SignedGraph, k: int,
     if frustration_index(g).index != k:
         raise PreconditionError(
             f"k={k} is not the frustration index of the graph")
-    cycles = _sorted_negative_cycles(g)
-    found = _least_family([_edge_mask(c) for c in cycles], (1 << g.m) - 1,
-                          2 * k, 2, 2, 1 if distinct_only else 2)
+    cycles, masks, through = _cycle_table(g)
+    found = _least_family(masks, (1 << g.m) - 1, 2 * k, 2, 2,
+                          1 if distinct_only else 2, through)
     return None if found is None else tuple(cycles[i] for i in found)
 
 

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import guards
-from .core import NEG, SignedGraph, _bits, switch
+from .core import NEG, SignedGraph, _ids, switch
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def frustration_index(g: SignedGraph) -> FrustrationResult:
     switch(g, switch_set).
     """
     full, neg, _ = _minimizer(g, _component_scans(g))
-    return FrustrationResult(neg.bit_count(), full, frozenset(_bits(neg)))
+    return FrustrationResult(neg.bit_count(), full, frozenset(_ids(neg)))
 
 
 def all_minimum_signatures(g: SignedGraph) -> tuple:
@@ -185,7 +185,7 @@ def all_minimum_signatures(g: SignedGraph) -> tuple:
     # the components' masks are disjoint, so their sum is their union
     out = {sum(combo, loops) for combo
            in itertools.product(*(s[3] for s in _component_scans(g)))}
-    return tuple(sorted(tuple(_bits(neg)) for neg in out))
+    return tuple(sorted(tuple(_ids(neg)) for neg in out))
 
 
 def minimum_signature_switch(g: SignedGraph) -> SignedGraph:

@@ -18,21 +18,20 @@ takes the part holding the lowest open edge e0, with a budget b of index
 left.  Either that part is a negative cycle through e0, and is branched
 on, or it has index j >= 2 and is the last part taken: everything that
 remains minus a family F of later parts, which avoid e0 and have indices
-summing to b - j.  The cycle branch visits only live cycles.  A table
-transposed once per search, `through[e]`, masks over cycle indices the
-negative cycles through edge e, and each node carries the mask `dead` of
-the cycles that share an edge with a cycle taken, the OR of `through`
-over its edges; every other cycle through an open edge lies in what
-remains, so the candidates are `through[e0] & ~dead`, in ascending
-cycle order, with no subset test.  At b = 1 the last part is what
-remains, found by one lookup among the cycle masks.  F is drawn, once
-per unordered family, from three sources: the negative cycles (index 1),
-the K4- subdivisions (index 2) and, only when b >= 5, a guarded subset
-search for non-decomposable critical parts of index >= 3.  The last part
-is then tested, not searched for: at j = 2 by the K4- path search on
-that edge set alone (`_k4_minus_edge_set`), linear since the set needs
-four vertices of degree 3 and the rest of degree 2, which forces every
-path out of the four; at j >= 3 by a criticality check and a recursive
+summing to b - j.  The cycle branch picks from `through[e0] & ~dead` in
+ascending cycle order: `through[e]` masks over cycle indices the
+negative cycles through edge e, and `dead`, the OR of `through` over the
+edges of the cycles taken, the cycles that share an edge with them;
+every other cycle through an open edge lies in what remains, so no
+subset test is needed.  At b = 1 the last part is what remains, found by
+one lookup among the cycle masks.  F is drawn, once per unordered
+family, from three sources: the negative cycles (index 1), the K4-
+subdivisions (index 2) and, only when b >= 5, a guarded subset search
+for non-decomposable critical parts of index >= 3.  The last part is
+then tested, not searched for: at j = 2 by the K4- path search on that
+edge set alone (`_k4_minus_edge_set`), linear since the set needs four
+vertices of degree 3 and the rest of degree 2, which forces every path
+out of the four; at j >= 3 by a criticality check and a recursive
 decomposition search.  The other parts of a partition avoid its part
 through e0, so they are exactly such an F; the search is complete at
 every index and emits each partition once.
@@ -41,48 +40,34 @@ The j = 2 test is skipped where parity rules it out.  A cycle is an even
 subgraph, so removing one keeps every vertex's degree parity; a node
 reached through cycles alone, with a family of cycles alone, leaves a
 last part with the odd-degree vertices of the non-loop edges, and a K4-
-has exactly four.  That count is taken once per search, so on the
-4-regular ladders ghat(t) no K4- test is made at all.
+has exactly four.  That count is taken once per search.
 
 The K4- subdivisions come from one depth-first search per quadruple of
 branch vertices, which grows the six connecting paths in turn
-(`_path_systems`).  It skips every step that leaves a branch vertex
-fewer usable edges than the later paths ending there need.  Such a step
-opens only subtrees without a system, so the prune keeps the systems and
-their order; on ghat_planar(3) it cuts the search from 188,180 nodes to
-49,049.
-
-`find_k4_minus_subdivision` turns on a sign-parity lookahead
-(`_Lookahead`) once _GATE quadruples have yielded no system.  At every
-step onto an inner vertex and at every path boundary it asks, for each
-triangle not yet closed, whether walks over the untaken vertices can
-still close it negative; a subtree where one cannot holds no system and
-is cut, so the witness is the plain search's.  On ghat_planar(3), which
-has no K4-, the search falls from 49,049 nodes to 3,760, 2,169 of them in
-the gate's plain quadruples, and its time to about a quarter.  The gate
-keeps searches that find a witness within a few quadruples, most of the
-catalog among them, off the lookahead, whose walk searches made them two
-to three times slower.  Where all four branch vertices have degree 3 the
-edge prune leaves it little to cut, and random signed cubic graphs
-(n = 12) take about 1.2 times as long as on the plain search.  The
-enumeration (`k4_minus_subdivision_edge_sets`) and the edge-set test
+(`_path_systems`) and skips every step that leaves a branch vertex fewer
+usable edges than the later paths ending there need.  Once _GATE
+quadruples have yielded no system, `find_k4_minus_subdivision` adds a
+sign-parity lookahead (`_Lookahead`): it cuts a step after which some
+triangle not yet closed can no longer close negative through the
+untaken vertices.  Both cuts open only subtrees without a system, so the
+systems, their order and the witness are the plain search's.  The gate
+spares searches that find a witness within a few quadruples the cost of
+the lookahead's walk searches.  The enumeration and the edge-set test
 keep the plain search: the test's paths are forced, and most of the
-enumeration's subtrees hold systems, so there the lookahead costs more
-than it cuts: on the s3-petersen x s3-projective join (2,793 edge sets)
-it took the enumeration from 3.0 s to 7.8 s, its memo to 593,119
-entries.
+enumeration's subtrees hold systems.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import guards
-from .core import NEG, POS, SignedGraph, build_graph
+from .core import NEG, POS, SignedGraph, _ids, build_graph
 from .criticality import certify
-from .cycles import (has_two_edge_disjoint_negative_cycles,
+from .cycles import (_cycle_table, has_two_edge_disjoint_negative_cycles,
                      max_edge_disjoint_negative_cycles, negative_cycles)
 from .errors import PreconditionError, TheoremViolation
 from .frustration import frustration_index
@@ -382,16 +367,6 @@ def k4_minus_subdivision_edge_sets(g: SignedGraph,
     return tuple(sorted(out, key=sorted))
 
 
-def _ids(mask: int) -> list:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _k4_minus_edge_set(g: SignedGraph, es: int) -> bool:
     """Whether the edge mask es is the edge set of an all-negative-K4
     subdivision, that is ``frozenset(_ids(es)) in
@@ -572,10 +547,6 @@ class Decomposition:
                           for eids, k in self.parts]}
 
 
-def _normalize(parts) -> Decomposition:
-    return Decomposition(tuple(sorted(parts, key=lambda p: (p[1], sorted(p[0])))))
-
-
 def _critical_part(g: SignedGraph, part: int, lo: int, hi: int) -> int:
     """The index j of g restricted to the edge mask part if lo <= j <= hi,
     the part is critically j-frustrated and it has no decomposition; else
@@ -629,24 +600,20 @@ def _families(members: list, room: int, start: int = 0, used: int = 0,
 class _Stream:
     """The tables of one `_decomposition_stream` call.
 
-    cycles are g's negative cycles, masks[i] the edge mask of cycles[i],
-    through[e] the mask, over cycle indices, of the cycles through edge e,
-    and known the set of the masks.  rest masks the non-loop edges and
-    budget is the index they share; odd4 says whether rest has exactly
-    four odd-degree vertices.  sources memoizes `source` and edge_sets
-    the edge set of each part emitted, so partitions share their parts.
+    cycles, masks and through are `_cycle_table`'s for g's negative
+    cycles in their own order, and known the set of the masks.  rest
+    masks the non-loop edges and budget is the index they share; odd4
+    says whether rest has exactly four odd-degree vertices.  sources
+    memoizes `source` and edge_sets the sorted edge ids and the edge set
+    of each part emitted, so partitions share their parts.
     """
 
     __slots__ = ("g", "cycles", "masks", "through", "known", "rest",
                  "budget", "odd4", "sources", "edge_sets")
 
     def __init__(self, g: SignedGraph, cycles: tuple, budget: int):
-        self.g, self.cycles = g, cycles
-        self.masks = [sum(1 << e for e in c.edge_ids) for c in cycles]
-        self.through = [0] * g.m
-        for i, c in enumerate(cycles):
-            for e in c.edge_ids:
-                self.through[e] |= 1 << i
+        self.g = g
+        self.cycles, self.masks, self.through = _cycle_table(g, cycles)
         self.known = set(self.masks)
         self.rest = (1 << g.m) - 1 - sum(1 << e for e in g.loop_edge_ids)
         self.budget = budget
@@ -676,11 +643,19 @@ class _Stream:
                     self.sources[i] = [p for p in large if p[1] == i]
         return self.sources[j]
 
-    def decomposition(self, parts: tuple) -> Decomposition:
-        """The partition into the (edge mask, index) pairs of parts."""
+    def decomposition(self, parts: tuple) -> tuple:
+        """(`find_decompositions`' sort key, the partition) for the (edge
+        mask, index) pairs of parts, its parts sorted by (index, edge ids);
+        both orders read the one sorted id tuple kept per mask."""
         memo = self.edge_sets
-        return _normalize([(memo.get(es) or memo.setdefault(
-            es, frozenset(_ids(es))), j) for es, j in parts])
+        for es, _ in parts:
+            if es not in memo:
+                ids = tuple(_ids(es))
+                memo[es] = ids, frozenset(ids)
+        # disjoint parts: their id tuples differ, so no tie is left
+        named = sorted((j, *memo[es]) for es, j in parts)
+        d = Decomposition(tuple((es, j) for j, _, es in named))
+        return (d.kind, tuple(sorted(ids for _, ids, _ in named))), d
 
 
 def _search(s: _Stream, remaining: int, budget: int, dead: int,
@@ -740,10 +715,10 @@ def _search(s: _Stream, remaining: int, budget: int, dead: int,
             yield s.decomposition(parts + family + ((last, j),))
 
 
-def _decomposition_stream(g: SignedGraph, k: Optional[int]
-                          ) -> Iterator[Decomposition]:
+def _decomposition_stream(g: SignedGraph, k: Optional[int]) -> Iterator:
     """All partitions into non-decomposable critical parts (t >= 2 parts),
-    each once; k defaults to the frustration index."""
+    each once, as (sort key, Decomposition) pairs (`_Stream.decomposition`);
+    k defaults to the frustration index."""
     if k is None:
         k = frustration_index(g).index
     if k < 2 or g.m == 0:
@@ -761,9 +736,8 @@ def find_decompositions(g: SignedGraph, k: Optional[int] = None) -> tuple:
 
     k defaults to the frustration index.
     """
-    return tuple(sorted(
-        _decomposition_stream(g, k),
-        key=lambda d: (d.kind, tuple(sorted(map(sorted, (p for p, _ in d.parts)))))))
+    return tuple(d for _, d in sorted(_decomposition_stream(g, k),
+                                      key=itemgetter(0)))
 
 
 def is_decomposable(g: SignedGraph, k: Optional[int] = None) -> bool:

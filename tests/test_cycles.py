@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signforge.core import Cycle, NEG, build_graph, validate_cycle
 from signforge.cycles import (_least_family, enumerate_cycles,
@@ -197,6 +198,45 @@ def _first_by_size(sizes, families, ok):
             return found
 
 
+def _first_family(options, universe, size, lo, hi, repeat):
+    """The first ascending index tuple in itertools order, no index more
+    than repeat times, that hits every item of universe between lo and hi
+    times (hi None: no bound)."""
+    items = [i for i in range(universe.bit_length()) if universe >> i & 1]
+    return _first(itertools.combinations_with_replacement(
+        range(len(options)), size), lambda fam: all(
+            fam.count(j) <= repeat for j in fam) and all(
+            lo <= sum(options[j] >> i & 1 for j in fam) <= (hi or size)
+            for i in items))
+
+
+@st.composite
+def _family_problems(draw, lo, hi):
+    """Random non-empty options over a random universe of at most 6
+    items, sorted by lowest item when lo == hi, and a family size."""
+    universe = draw(st.integers(1, 63))
+    options = draw(st.lists(st.integers(1, 63).map(universe.__and__)
+                            .filter(bool), max_size=7))
+    if lo == hi:
+        options.sort(key=lambda o: o & -o)
+    return options, universe, draw(st.integers(0, 5))
+
+
+@pytest.mark.parametrize("pass_hitters", [False, True])
+@pytest.mark.parametrize("lo,hi,repeat", [(1, None, 1), (0, 1, 1),
+                                          (2, 2, 1), (2, 2, 2)])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_least_family_is_the_first_family_in_itertools_order(
+        lo, hi, repeat, pass_hitters, data):
+    options, universe, size = data.draw(_family_problems(lo, hi))
+    hitters = [sum(1 << j for j, o in enumerate(options) if o >> i & 1)
+               for i in range(universe.bit_length())] if pass_hitters else None
+    assert _least_family(options, universe, size, lo, hi, repeat,
+                         hitters) == _first_family(options, universe, size,
+                                                   lo, hi, repeat)
+
+
 def _disjoint(fam):
     return sum(len(c.edge_ids) for c in fam) == len(
         set().union(*(c.edge_set for c in fam)))
@@ -280,3 +320,30 @@ def test_pinned_double_cover_witnesses(label, distinct):
     dc = negative_cycle_double_cover(g, 3, distinct_only=distinct)
     assert [c.edge_ids for c in dc] == _PINNED_DOUBLE_COVERS[label, distinct]
     assert is_double_cover(g, dc)
+
+
+# Witnesses of the search before its live options and length window, on
+# graphs past the oracles' reach: packings as their cycles' edge-id tuples,
+# the cover as edge ids.  ghat_planar(2)'s double covers above are those of
+# the catalog's ladder-planar-2, the same graph.
+_PINNED_FAMILIES = {
+    ("packing", "ghat(4)"): [
+        (0, 3, 1, 23, 8, 7, 6, 5), (2, 14, 13, 12, 11, 15),
+        (4, 9, 22, 21, 20, 19, 18, 17, 16, 10)],
+    ("packing", "ghat_planar(3)"): [
+        (0, 3, 1, 17, 7, 6, 5), (2, 19, 20, 16, 10, 9, 11),
+        (4, 21, 18, 15, 14, 13, 12, 8)],
+    ("cover", "ghat(4)"): [0, 2, 10],
+}
+
+
+@pytest.mark.parametrize("kind,label", sorted(_PINNED_FAMILIES))
+def test_pinned_packing_and_cover_witnesses(kind, label):
+    g = ghat(4) if label == "ghat(4)" else ghat_planar(3)[0]
+    if kind == "cover":
+        assert list(min_negative_cycle_cover(g)) == _PINNED_FAMILIES[
+            kind, label]
+    else:
+        fam = max_edge_disjoint_negative_cycles(g)
+        assert [c.edge_ids for c in fam] == _PINNED_FAMILIES[kind, label]
+        assert _disjoint(fam)
