@@ -1,20 +1,24 @@
 """Cycle enumeration and negative-cycle covering/packing.
 
 All cycles here are simple: loops (length 1), parallel pairs (length 2)
-and longer vertex-disjoint circuits.  Enumeration is a DFS from each
-cycle's least vertex through later vertices only, which emits each cycle
-once, in its lex-smaller direction, with a hard cap.  The minimum cover,
-the maximum packing and the double cover are one exact search,
-`_least_family`, for the lexicographically least family of options
-(edges or cycles, as bitmasks) that hits every item (cycles or edges)
-between a lower and an upper number of times; each returns that search's
-deterministic, lex-least witness, read off one table, `_cycle_table`:
-the negative cycles, their edge masks and the cycles through each edge.
-A node picks only among its live options, a mask over option indices:
-those from its start on that hit no item already at the upper bound,
-and for the double cover only those through the lowest item still
-short.  A pick must also fit the length window that the count bounds
-leave its child.
+and longer vertex-disjoint circuits.  Enumeration is one DFS, `_walks`,
+from each cycle's least vertex through later vertices only, which walks
+each cycle once, in its lex-smaller direction, with a hard cap that
+counts every cycle.  That direction fixes the first edge below the
+closing one, so a walk keeps going only while some vertex it may close
+at, a later neighbour of the start across a higher edge, is off its
+path.  The minimum cover, the maximum packing and the double cover are
+one exact search, `_least_family`, for the lexicographically least
+family of options (edges or cycles, as bitmasks) that hits every item
+(cycles or edges) between a lower and an upper number of times; each
+returns that search's deterministic, lex-least witness, read off one
+table, `_cycle_table`: the negative cycles as plain (edge ids, vertex
+sequence) walks, their edge masks and the cycles through each edge.
+Only the members a caller returns become Cycle values.  A node picks
+only among its live options, a mask over option indices: those from its
+start on that hit no item already at the upper bound, and for the double
+cover only those through the lowest item still short.  A pick must also
+fit the length window that the count bounds leave its child.
 """
 
 from __future__ import annotations
@@ -30,15 +34,37 @@ from .frustration import frustration_index
 
 def enumerate_cycles(g: SignedGraph, negative_only: bool = False) -> tuple:
     """All simple cycles of g (only the negative ones with negative_only),
-    sorted by (length, edge-id tuple).
-
-    A DFS walks each cycle from its least vertex, through later vertices
-    only, once in each direction, and emits it once: in the direction
-    whose first edge id is below its closing edge id, which is the
-    lex-smaller edge-id tuple of the two (a parallel pair comes out
-    sorted).  The walk carries the parity of its negative edges.  Raises
-    CycleCapExceeded once more than guards.CYCLE_CAP cycles exist,
+    as Cycle values sorted by (length, edge-id tuple): `_walks`' cycles.
+    Raises CycleCapExceeded once more than guards.CYCLE_CAP cycles exist,
     positive ones counted too, unless the guard override is active.
+    """
+    walks = _walks(g, negative_only)
+    walks.sort(key=_by_length)
+    return tuple(Cycle(ids, vs) for ids, vs in walks)
+
+
+def _by_length(walk: tuple) -> tuple:
+    return len(walk[0]), walk[0]
+
+
+def _by_sorted_ids(walk: tuple) -> list:
+    return sorted(walk[0])
+
+
+def _walks(g: SignedGraph, negative_only: bool) -> list:
+    """Every simple cycle of g (only the negative ones with negative_only)
+    once, unsorted, as an (edge ids, vertex sequence) pair.
+
+    A DFS walks each cycle from its least vertex s, through later vertices
+    only, in one direction: the one whose first edge e is below its
+    closing edge, which gives the lex-smaller edge-id tuple of the two (a
+    parallel pair comes out sorted).  So the walk can close only at a
+    later vertex joined to s by an edge above e, its targets (a vertex
+    bitmask): a first edge without targets is skipped, and a node whose
+    path already holds every target takes no further step.  The path's
+    vertex set is a bitmask too, and the walk carries the parity of its
+    negative edges.  Every cycle is counted toward guards.CYCLE_CAP, past
+    which CycleCapExceeded is raised unless the guard override is active.
     """
     limit = guards.CYCLE_CAP
     neg = g.negative_mask
@@ -46,38 +72,46 @@ def enumerate_cycles(g: SignedGraph, negative_only: bool = False) -> tuple:
     # per vertex index: (edge id, other end, its index, negative bit)
     adj = [[(eid, o, index[o], neg >> eid & 1) for eid in g.incidence[v]
             for o in (g.edges[eid].other(v),)] for v in g.vertices]
-    on_path = [False] * g.n
     path_v, path_e, out = [], [], []
     count = 0
 
-    def dfs(i, s, odd):
+    def dfs(i, s, first, targets, seen, odd):
         nonlocal count
+        step = targets & ~seen  # some target is still off the path
         for eid, o, j, bit in adj[i]:
             if j == s:  # a closing edge, or a loop at s on the empty path
-                if not path_e or path_e[0] < eid:
+                if eid > first:
                     count += 1
                     if count > limit and not guards.override_active():
                         raise CycleCapExceeded(f"more than {limit} cycles; "
                                                "raise the cap or override")
                     if odd ^ bit or not negative_only:
-                        out.append(Cycle(tuple(path_e) + (eid,),
-                                         tuple(path_v) + (o,)))
-            elif j > s and not on_path[j]:
-                on_path[j] = True
+                        out.append((tuple(path_e) + (eid,),
+                                    tuple(path_v) + (o,)))
+            elif step and not seen >> j & 1:
                 path_v.append(o)
                 path_e.append(eid)
-                dfs(j, s, odd ^ bit)
+                dfs(j, s, first, targets, seen | 1 << j, odd ^ bit)
                 path_e.pop()
                 path_v.pop()
-                on_path[j] = False
 
     for s, start in enumerate(g.vertices):
+        below = (2 << s) - 1  # s and the vertices before it
         path_v.append(start)
-        dfs(s, s, 0)
+        dfs(s, s, -1, 0, below, 0)  # no targets: only the loops at s close
+        later = 0  # the later ends of the edges at s above the current one
+        for eid, o, j, bit in sorted(adj[s], reverse=True):
+            if j > s:
+                if later:
+                    path_v.append(o)
+                    path_e.append(eid)
+                    dfs(j, s, eid, later, below | 1 << j, bit)
+                    path_e.pop()
+                    path_v.pop()
+                later |= 1 << j
         path_v.pop()
     del dfs  # a self-referencing closure: free its state now, not at gc
-    out.sort(key=lambda c: (len(c), c.edge_ids))
-    return tuple(out)
+    return out
 
 
 def negative_cycles(g: SignedGraph) -> tuple:
@@ -96,15 +130,16 @@ def _least_family(options: list, universe: int, size: int, lo: int,
     hi 1, 2 or None for no upper bound), or None if there is none.
 
     Options and universe are int bitmasks of items, every option
-    non-empty and within the universe; hitters[item] masks the options
-    that hit the item, built here when not given.  The search tries the
-    indices in ascending order, so the first family found is the
-    lex-least.  A branch ends when an item still short of lo is hit by no
-    option from here on, or when the picks left cannot supply the missing
-    hits or cannot fit under hi; failed states are remembered.  A node's
-    candidates are the indices from its start on minus `dead`, the OR of
-    hitters over the items at hi, whose length lies between the count
-    bounds applied to the child: they only tighten further down.
+    non-empty (checked) and within the universe; hitters[item] masks the
+    options that hit the item, built here when not given.  The search
+    tries the indices in ascending order, so the first family found is
+    the lex-least.  A branch ends when an item still short of lo is hit
+    by no option from here on, or when the picks left cannot supply the
+    missing hits or cannot fit under hi; failed states are remembered.
+    A node's candidates are the indices from its start on minus `dead`,
+    the OR of hitters over the items at hi, whose length lies between
+    the count bounds applied to the child: they only tighten further
+    down.
 
     When lo == hi the options must come sorted by lowest item (checked).
     Then every item below the lowest short item e0 is full, so a live
@@ -121,6 +156,8 @@ def _least_family(options: list, universe: int, size: int, lo: int,
     u = universe.bit_count()
     deep = 2 in (lo, hi)  # whether "hit twice" must be tracked
     lows = [o & -o for o in options]  # each option's lowest item, as a bit
+    if n and not shortest:
+        raise PreconditionError("an empty option")
     block = lo == hi
     if block and lows != sorted(lows):
         raise PreconditionError("options not sorted by lowest item")
@@ -182,21 +219,22 @@ def _least_family(options: list, universe: int, size: int, lo: int,
     return found
 
 
-def _cycle_table(g: SignedGraph, cycles: Optional[tuple] = None) -> tuple:
-    """The negative cycles of g by sorted edge-id tuple, the order in which
-    packings and double covers are lex-least (or the given cycles, in
-    their order), their edge masks and through[e], the mask over cycle
+def _cycle_table(g: SignedGraph, by_length: bool = False) -> tuple:
+    """The negative cycles of g as `_walks` pairs, by sorted edge-id tuple
+    (the order in which packings and double covers are lex-least) or,
+    with by_length, by (length, edge-id tuple) as `negative_cycles`
+    lists them; their edge masks; and through[e], the mask over cycle
     indices of the cycles through edge e."""
-    if cycles is None:
-        cycles = sorted(negative_cycles(g), key=lambda c: sorted(c.edge_ids))
+    walks = _walks(g, True)
+    walks.sort(key=_by_length if by_length else _by_sorted_ids)
     masks, through = [], [0] * g.m
-    for i, c in enumerate(cycles):
+    for i, (ids, _) in enumerate(walks):
         bit, mask = 1 << i, 0
-        for e in c.edge_ids:
+        for e in ids:
             mask |= 1 << e
             through[e] |= bit
         masks.append(mask)
-    return cycles, masks, through
+    return walks, masks, through
 
 
 def min_negative_cycle_cover(g: SignedGraph) -> tuple:
@@ -208,10 +246,10 @@ def min_negative_cycle_cover(g: SignedGraph) -> tuple:
     characterization this has the same size as the frustration index;
     the two are cross-checked in the oracle tests, not here.
     """
-    cycles, _, through = _cycle_table(g, negative_cycles(g))  # items: unsorted
+    walks, _, through = _cycle_table(g, by_length=True)  # items: any order
     pool = [e for e in range(g.m) if through[e]]
     options = [through[e] for e in pool]
-    universe = (1 << len(cycles)) - 1
+    universe = (1 << len(walks)) - 1
     for size in range(len(pool) + 1):  # the whole pool is a cover
         found = _least_family(options, universe, size, 1, None, 1)
         if found is not None:
@@ -229,7 +267,7 @@ def max_edge_disjoint_negative_cycles(g: SignedGraph,
     soon as that many disjoint cycles are found, and the returned family
     is the lex-least with exactly stop_at members.
     """
-    cycles, masks, through = _cycle_table(g)
+    walks, masks, through = _cycle_table(g)
     family = ()
     while len(family) != stop_at:
         found = _least_family(masks, (1 << g.m) - 1, len(family) + 1,
@@ -237,7 +275,7 @@ def max_edge_disjoint_negative_cycles(g: SignedGraph,
         if found is None:
             break
         family = found
-    return tuple(cycles[i] for i in family)
+    return tuple(Cycle(*walks[i]) for i in family)
 
 
 def packing_number(g: SignedGraph) -> int:
@@ -264,10 +302,10 @@ def negative_cycle_double_cover(g: SignedGraph, k: int,
     if frustration_index(g).index != k:
         raise PreconditionError(
             f"k={k} is not the frustration index of the graph")
-    cycles, masks, through = _cycle_table(g)
+    walks, masks, through = _cycle_table(g)
     found = _least_family(masks, (1 << g.m) - 1, 2 * k, 2, 2,
                           1 if distinct_only else 2, through)
-    return None if found is None else tuple(cycles[i] for i in found)
+    return None if found is None else tuple(Cycle(*walks[i]) for i in found)
 
 
 def _edge_counts(g: SignedGraph, cs) -> list:

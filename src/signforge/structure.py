@@ -68,7 +68,7 @@ from . import guards
 from .core import NEG, POS, SignedGraph, _ids, build_graph
 from .criticality import certify
 from .cycles import (_cycle_table, has_two_edge_disjoint_negative_cycles,
-                     max_edge_disjoint_negative_cycles, negative_cycles)
+                     max_edge_disjoint_negative_cycles)
 from .errors import PreconditionError, TheoremViolation
 from .frustration import frustration_index
 
@@ -600,20 +600,20 @@ def _families(members: list, room: int, start: int = 0, used: int = 0,
 class _Stream:
     """The tables of one `_decomposition_stream` call.
 
-    cycles, masks and through are `_cycle_table`'s for g's negative
-    cycles in their own order, and known the set of the masks.  rest
+    walks, masks and through are `_cycle_table`'s for g's negative
+    cycles by (length, edge ids), and known the set of the masks.  rest
     masks the non-loop edges and budget is the index they share; odd4
     says whether rest has exactly four odd-degree vertices.  sources
     memoizes `source` and edge_sets the sorted edge ids and the edge set
     of each part emitted, so partitions share their parts.
     """
 
-    __slots__ = ("g", "cycles", "masks", "through", "known", "rest",
+    __slots__ = ("g", "walks", "masks", "through", "known", "rest",
                  "budget", "odd4", "sources", "edge_sets")
 
-    def __init__(self, g: SignedGraph, cycles: tuple, budget: int):
+    def __init__(self, g: SignedGraph, budget: int):
         self.g = g
-        self.cycles, self.masks, self.through = _cycle_table(g, cycles)
+        self.walks, self.masks, self.through = _cycle_table(g, by_length=True)
         self.known = set(self.masks)
         self.rest = (1 << g.m) - 1 - sum(1 << e for e in g.loop_edge_ids)
         self.budget = budget
@@ -687,7 +687,7 @@ def _search(s: _Stream, remaining: int, budget: int, dead: int,
         live ^= bit
         i = bit.bit_length() - 1
         cyc, now = s.masks[i], dead
-        for e in s.cycles[i].edge_ids:
+        for e in s.walks[i][0]:
             now |= through[e]
         yield from _search(s, remaining ^ cyc, budget - 1, now,
                            parts + ((cyc, 1),))
@@ -724,7 +724,7 @@ def _decomposition_stream(g: SignedGraph, k: Optional[int]) -> Iterator:
     if k < 2 or g.m == 0:
         return
     loops = tuple((1 << e, 1) for e in sorted(g.loop_edge_ids))
-    s = _Stream(g, negative_cycles(g), k - len(loops))
+    s = _Stream(g, k - len(loops))
     if not all(s.through):
         return  # an edge on no negative cycle lies in no critical part
     # every loop is now negative, and a part on its own

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signforge.core import Cycle, NEG, build_graph, validate_cycle
-from signforge.cycles import (_least_family, enumerate_cycles,
+from signforge import catalog
+from signforge.cycles import (_cycle_table, _least_family, enumerate_cycles,
                               has_two_edge_disjoint_negative_cycles,
                               is_double_cover, is_leq2_cover,
                               max_edge_disjoint_negative_cycles,
@@ -14,6 +15,7 @@ from signforge.cycles import (_least_family, enumerate_cycles,
 from signforge.errors import CycleCapExceeded, PreconditionError
 from signforge.frustration import frustration_index
 from signforge.constructions import ghat, ghat_planar
+from signforge.structure import find_decompositions
 from strategies import signed_graphs
 
 
@@ -110,6 +112,13 @@ def test_exact_hits_need_options_sorted_by_lowest_item():
     assert _least_family([0b10, 0b01], 0b11, 1, 0, 1, 1) == (0,)
 
 
+@pytest.mark.parametrize("lo,hi", [(2, 2), (1, None), (0, 1)])
+def test_empty_options_are_refused(lo, hi):
+    # in block mode the search would skip the empty option and miss (0, 1, 2)
+    with pytest.raises(PreconditionError):
+        _least_family([0, 1, 1], 1, 3, lo, hi, 1)
+
+
 def test_cycle_cap_is_enforced(monkeypatch):
     import signforge.guards as guards
     monkeypatch.setattr(guards, "CYCLE_CAP", 3)
@@ -118,6 +127,25 @@ def test_cycle_cap_is_enforced(monkeypatch):
         enumerate_cycles(g)
     monkeypatch.setenv("SIGNFORGE_GUARD_OVERRIDE", "1")
     assert len(enumerate_cycles(g)) == 7
+
+
+def test_cycle_cap_counts_every_cycle_at_the_boundary(monkeypatch):
+    import signforge.guards as guards
+    # an all-negative K4 (its three 4-cycles positive) beside a negative
+    # triangle: index 3, so find_decompositions builds the cycle table
+    g = build_graph([(u, v, "-") for u in range(4) for v in range(u)]
+                    + [(3, 4, "+"), (4, 5, "+"), (5, 3, "-")])
+    total = len(enumerate_cycles(g))
+    assert (total, len(negative_cycles(g))) == (8, 5)
+    calls = (negative_cycles, min_negative_cycle_cover, find_decompositions)
+    monkeypatch.setattr(guards, "CYCLE_CAP", total)
+    for call in calls:
+        call(g)
+    assert len(find_decompositions(g)) == 1
+    monkeypatch.setattr(guards, "CYCLE_CAP", total - 1)
+    for call in calls:
+        with pytest.raises(CycleCapExceeded):
+            call(g)
 
 
 _loop = build_graph([(0, 0, NEG)])  # its only double cover repeats the loop
@@ -162,6 +190,13 @@ def _is_cycle(g, eids):
 @given(signed_graphs(max_n=5, max_m=8))
 @example(build_graph([(0, 1, "+"), (0, 1, "-"), (1, 0, "+")]))  # triple bundle
 @example(_loop)
+# vertex 0's only edge to a later vertex is its highest: no walk starts there
+@example(build_graph([(0, 0, NEG), (1, 2, "+"), (2, 3, "-"), (3, 1, "+"),
+                      (0, 1, "-")]))
+@example(build_graph([(0, 1, "-"), (0, 2, "+"), (2, 1, "+"), (0, 3, "+"),
+                      (3, 1, "-")]))  # a theta graph
+@example(build_graph([(0, 0, NEG), (0, 1, "+"), (1, 0, "-"),
+                      (0, 1, "+")]))  # a triple bundle beside a negative loop
 @settings(max_examples=100, deadline=None)
 def test_enumerator_equals_brute_force_over_edge_subsets(g):
     cycles = [c for size in range(1, g.m + 1)
@@ -176,6 +211,32 @@ def test_enumerator_equals_brute_force_over_edge_subsets(g):
     assert enumerate_cycles(g, negative_only=True) == tuple(neg)
     for c in got:
         validate_cycle(g, c)
+
+
+def _check_cycle_table(g):
+    """_cycle_table against its definition: the negative cycles by sorted
+    edge-id tuple (or as listed, by_length), their edge masks, and per edge
+    the mask of the cycles through it."""
+    for by_length, cycles in ((False, _sorted_negative_cycles(g)),
+                              (True, negative_cycles(g))):
+        walks, masks, through = _cycle_table(g, by_length=by_length)
+        assert [Cycle(*w) for w in walks] == list(cycles)
+        assert masks == [sum(1 << e for e in c.edge_ids) for c in cycles]
+        assert through == [sum(1 << i for i, c in enumerate(cycles)
+                               if e in c.edge_ids) for e in range(g.m)]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_cycle_table_on_the_catalog(name):
+    _check_cycle_table(catalog.get(name).graph)
+
+
+@given(signed_graphs(max_n=6, max_m=10))
+@example(_loop)
+@example(_bridge)
+@settings(max_examples=100, deadline=None)
+def test_cycle_table_matches_its_definition(g):
+    _check_cycle_table(g)
 
 
 # -- brute-force oracles for the one family search -------------------------------
