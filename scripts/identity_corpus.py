@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Byte-identity digests of the cycle and decomposition searches.
+"""Byte-identity digests of the cycle, decomposition and switching
+searches.
 
-Rebuilds two fixed corpora of calls and prints, per public function, the
+Rebuilds three fixed corpora of calls and prints, per public function, the
 number of calls and a sha256 over their newline-joined outputs.  Two
 checkouts print the same digests iff every answer (and every error) is
 the same byte for byte, so a change that must not alter outputs can be
@@ -26,6 +27,14 @@ other one, at k = 2..5; and 120 random switched unions of negative
 loops, digons, triangles, all-negative K4s (one edge subdivided or not)
 and k5-minus, drawn from Random(5) with at most 14 edges, at k = 2..6
 (2,265 calls per function).
+
+The switching corpus is the catalog entries and
+random_signed_graph(Random(s), 7, 12) for s = 0..1499, a positive loop
+at vertex s mod n put first for s = 1 mod 3 and last for s = 2 mod 3;
+per graph six calls: frustration_index(g).to_json(),
+all_minimum_signatures, balancing_switch_set (sorted vertex strings, or
+None) and certify(g, method=m).to_json() for each of the three methods
+(1,527 calls per function).
 
 One output line per call: the repr of the answer (a decomposition by
 its to_json), or the type and message of a SignforgeError.  The script
@@ -178,7 +187,37 @@ def decomposition_calls():
         yield "is_decomposable", lambda g=g, k=k: is_decomposable(g, k)
 
 
-CORPORA = {"family": family_calls, "decompositions": decomposition_calls}
+def _strings(vertices):
+    """A vertex set as its sorted vertex strings, None kept."""
+    return None if vertices is None else sorted(map(str, vertices))
+
+
+def switching_calls():
+    """(function name, thunk) for every call of the switching corpus."""
+    from signforge import catalog
+    from signforge.acceptance import random_signed_graph
+    from signforge.core import balancing_switch_set, build_graph
+    from signforge.criticality import METHODS, certify
+    from signforge.frustration import all_minimum_signatures, frustration_index
+
+    graphs = [catalog.get(name).graph for name in catalog.names()]
+    for s in range(1500):
+        g = random_signed_graph(random.Random(s), 7, 12)
+        edges = [(e.u, e.v, e.sign) for e in g.edges]
+        loop = [(g.vertices[s % g.n], g.vertices[s % g.n], "+")]
+        graphs.append(build_graph((edges, loop + edges, edges + loop)[s % 3]))
+    for g in graphs:
+        yield "frustration_index", lambda g=g: frustration_index(g).to_json()
+        yield "all_minimum_signatures", lambda g=g: all_minimum_signatures(g)
+        yield "balancing_switch_set", lambda g=g: _strings(
+            balancing_switch_set(g))
+        for method in METHODS:
+            yield f"certify({method})", (
+                lambda g=g, method=method: certify(g, method=method).to_json())
+
+
+CORPORA = {"family": family_calls, "decompositions": decomposition_calls,
+           "switching": switching_calls}
 
 
 def digests(calls) -> dict:

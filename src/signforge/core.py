@@ -151,13 +151,14 @@ class SignedGraph:
         return frozenset(e.eid for e in self.edges if e.sign == NEG)
 
     @_cached
-    def loop_edge_ids(self) -> frozenset:
-        return frozenset(e.eid for e in self.edges if e.is_loop)
-
-    @_cached
     def negative_mask(self) -> int:
         """Bitmask of the negative edge ids (bit eid set iff negative)."""
         return sum(1 << eid for eid in self.negative_edge_ids)
+
+    @_cached
+    def loop_mask(self) -> int:
+        """Bitmask of the loop edge ids (bit eid set iff a loop)."""
+        return sum(1 << e.eid for e in self.edges if e.is_loop)
 
     @_cached
     def incidence_masks(self) -> dict:
@@ -357,7 +358,7 @@ def is_balanced(g: SignedGraph) -> bool:
 
 def balancing_switch_set(g: SignedGraph) -> Optional[frozenset]:
     """A switch set making g all-positive, or None if g is unbalanced."""
-    if any(g.edges[e].sign == NEG for e in g.loop_edge_ids):
+    if g.loop_mask & g.negative_mask:
         return None
     pot = {}
     for comp in g.components:

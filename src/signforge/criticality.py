@@ -35,7 +35,7 @@ from typing import Optional
 from . import guards
 from .core import EdgeCut, SignedGraph, _ids
 from .errors import PreconditionError
-from .frustration import _component_scans, _minimizer, _negative_loops
+from .frustration import _component_scans, _minimizer
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def _certify_deletion(g: SignedGraph, k: int, scans: list) -> tuple:
     # the edges negative in some minimum switching, negative loops included
     lowered = functools.reduce(operator.or_,
                                (neg for s in scans for neg in s[3]),
-                               _negative_loops(g))
+                               g.loop_mask & g.negative_mask)
     drops = {eid: k - 1 if lowered >> eid & 1 else k for eid in range(g.m)}
     critical = all(sub == k - 1 for sub in drops.values())
     return critical, {"index_after_deletion": drops}
@@ -144,7 +144,7 @@ def _certify_signatures(g: SignedGraph, k: int, scans: list) -> tuple:
     # the lex-least minimum signature holding an edge is, per component,
     # the lex-least mask (holding the edge in its own component): a
     # component's masks are of one size; the negative loops are one part
-    ranked = [[_negative_loops(g)]]
+    ranked = [[g.loop_mask & g.negative_mask]]
     ranked += (sorted(s[3], key=_lex, reverse=True) for s in scans)
     least = sum(negs[0] for negs in ranked)
     witness, open_mask = dict.fromkeys(range(g.m)), (1 << g.m) - 1
@@ -162,8 +162,8 @@ def _certify_cuts(g: SignedGraph, k: int, scans: list) -> tuple:
     switch_set, neg, picks = _minimizer(g, scans)
     # edges already negative in the minimum signature need no cut
     positive = [eid for eid in range(g.m) if not neg >> eid & 1]
-    cuts = _equilibrated_cuts(g, scans, picks, sum(
-        1 << eid for eid in positive if not g.edges[eid].is_loop))
+    cuts = _equilibrated_cuts(g, scans, picks,
+                              (1 << g.m) - 1 & ~(neg | g.loop_mask))
     return len(cuts) == len(positive), {
         "minimum_switch_set": sorted(map(str, switch_set)),
         "equilibrated_cuts": {eid: cuts[eid].to_json() if eid in cuts
@@ -189,7 +189,8 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     # negative-edge masks give every ℓ(G-e), every minimum signature, or
     # the lex-least minimum signature
     scans = _component_scans(g)
-    index = _negative_loops(g).bit_count() + sum(s[1] for s in scans)
+    index = (g.loop_mask & g.negative_mask).bit_count() + sum(
+        s[1] for s in scans)
     if k is None:
         k = index
     if index != k or k == 0:

@@ -13,12 +13,13 @@ family of options (edges or cycles, as bitmasks) that hits every item
 (cycles or edges) between a lower and an upper number of times; each
 returns that search's deterministic, lex-least witness, read off one
 table, `_cycle_table`: the negative cycles as plain (edge ids, vertex
-sequence) walks, their edge masks and the cycles through each edge.
-Only the members a caller returns become Cycle values.  A node picks
-only among its live options, a mask over option indices: those from its
-start on that hit no item already at the upper bound, and for the double
-cover only those through the lowest item still short.  A pick must also
-fit the length window that the count bounds leave its child.
+sequence) walks in one order, by sorted edge ids, their edge masks and
+the cycles through each edge.  Only the members a caller returns become
+Cycle values.  A node picks only among its live options, a mask over
+option indices: those from its start on that hit no item already at the
+upper bound, and for the double cover only those through the lowest
+item still short.  A pick must also fit the length window that the
+count bounds leave its child.
 """
 
 from __future__ import annotations
@@ -39,16 +40,8 @@ def enumerate_cycles(g: SignedGraph, negative_only: bool = False) -> tuple:
     positive ones counted too, unless the guard override is active.
     """
     walks = _walks(g, negative_only)
-    walks.sort(key=_by_length)
+    walks.sort(key=lambda walk: (len(walk[0]), walk[0]))
     return tuple(Cycle(ids, vs) for ids, vs in walks)
-
-
-def _by_length(walk: tuple) -> tuple:
-    return len(walk[0]), walk[0]
-
-
-def _by_sorted_ids(walk: tuple) -> list:
-    return sorted(walk[0])
 
 
 def _walks(g: SignedGraph, negative_only: bool) -> list:
@@ -123,7 +116,7 @@ def negative_cycles(g: SignedGraph) -> tuple:
 
 def _least_family(options: list, universe: int, size: int, lo: int,
                   hi: Optional[int], repeat: int,
-                  hitters: Optional[list] = None) -> Optional[tuple]:
+                  hitters: Optional[list]) -> Optional[tuple]:
     """The lex-least ascending tuple of `size` indices into options, each
     index used at most `repeat` times, such that every item of universe
     is hit by between lo and hi of the chosen options (0 <= lo <= 2,
@@ -131,15 +124,15 @@ def _least_family(options: list, universe: int, size: int, lo: int,
 
     Options and universe are int bitmasks of items, every option
     non-empty (checked) and within the universe; hitters[item] masks the
-    options that hit the item, built here when not given.  The search
-    tries the indices in ascending order, so the first family found is
-    the lex-least.  A branch ends when an item still short of lo is hit
-    by no option from here on, or when the picks left cannot supply the
-    missing hits or cannot fit under hi; failed states are remembered.
-    A node's candidates are the indices from its start on minus `dead`,
-    the OR of hitters over the items at hi, whose length lies between
-    the count bounds applied to the child: they only tighten further
-    down.
+    options that hit the item, read only when hi is set (the cover
+    passes None).  The search tries the indices in ascending order, so
+    the first family found is the lex-least.  A branch ends when an item
+    still short of lo is hit by no option from here on, or when the
+    picks left cannot supply the missing hits or cannot fit under hi;
+    failed states are remembered.  A node's candidates are the indices
+    from its start on minus `dead`, the OR of hitters over the items at
+    hi, whose length lies between the count bounds applied to the child:
+    they only tighten further down.
 
     When lo == hi the options must come sorted by lowest item (checked).
     Then every item below the lowest short item e0 is full, so a live
@@ -161,9 +154,6 @@ def _least_family(options: list, universe: int, size: int, lo: int,
     block = lo == hi
     if block and lows != sorted(lows):
         raise PreconditionError("options not sorted by lowest item")
-    if hi and hitters is None:
-        hitters = [sum(1 << j for j, o in enumerate(options) if o >> i & 1)
-                   for i in range(universe.bit_length())]
     every = (1 << n) - 1
     failed = set()
 
@@ -219,14 +209,14 @@ def _least_family(options: list, universe: int, size: int, lo: int,
     return found
 
 
-def _cycle_table(g: SignedGraph, by_length: bool = False) -> tuple:
+def _cycle_table(g: SignedGraph) -> tuple:
     """The negative cycles of g as `_walks` pairs, by sorted edge-id tuple
-    (the order in which packings and double covers are lex-least) or,
-    with by_length, by (length, edge-id tuple) as `negative_cycles`
-    lists them; their edge masks; and through[e], the mask over cycle
-    indices of the cycles through edge e."""
+    (the order in which packings and double covers are lex-least; the
+    cover and the decomposition search do not depend on it); their edge
+    masks; and through[e], the mask over cycle indices of the cycles
+    through edge e."""
     walks = _walks(g, True)
-    walks.sort(key=_by_length if by_length else _by_sorted_ids)
+    walks.sort(key=lambda walk: sorted(walk[0]))
     masks, through = [], [0] * g.m
     for i, (ids, _) in enumerate(walks):
         bit, mask = 1 << i, 0
@@ -246,12 +236,12 @@ def min_negative_cycle_cover(g: SignedGraph) -> tuple:
     characterization this has the same size as the frustration index;
     the two are cross-checked in the oracle tests, not here.
     """
-    walks, _, through = _cycle_table(g, by_length=True)  # items: any order
+    walks, _, through = _cycle_table(g)
     pool = [e for e in range(g.m) if through[e]]
     options = [through[e] for e in pool]
     universe = (1 << len(walks)) - 1
     for size in range(len(pool) + 1):  # the whole pool is a cover
-        found = _least_family(options, universe, size, 1, None, 1)
+        found = _least_family(options, universe, size, 1, None, 1, None)
         if found is not None:
             return tuple(pool[i] for i in found)
 

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import guards
-from .core import NEG, SignedGraph, _ids, switch
+from .core import SignedGraph, _ids, switch
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,6 @@ def _component_scans(g: SignedGraph) -> list:
     return [_scan(g, comp) for comp in g.components]
 
 
-def _negative_loops(g: SignedGraph) -> int:
-    """The mask of the negative loops, which no switching changes."""
-    return sum(1 << e for e in g.loop_edge_ids if g.edges[e].sign == NEG)
-
-
 def _least(free: list, masks: list) -> int:
     """The position in masks of the switch set whose sorted tuple of vertex
     strings is least, the first such on ties.
@@ -150,7 +145,7 @@ def _minimizer(g: SignedGraph, scans: list) -> tuple:
     """`frustration_index`'s witness read from the components' `_scan`s,
     as (switch set, negative-edge mask, the chosen minimizer's position in
     each component's masks)."""
-    full, neg, picks = frozenset(), _negative_loops(g), []
+    full, neg, picks = frozenset(), g.loop_mask & g.negative_mask, []
     for free, _, masks, negs in scans:
         i = _least(free, masks)
         full |= frozenset([v for j, v in enumerate(free) if masks[i] >> j & 1])
@@ -181,7 +176,7 @@ def all_minimum_signatures(g: SignedGraph) -> tuple:
     # the answer is a product over the components, so g.n bounds it
     guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
                  "minimum-signature enumeration")
-    loops = _negative_loops(g)
+    loops = g.loop_mask & g.negative_mask
     # the components' masks are disjoint, so their sum is their union
     out = {sum(combo, loops) for combo
            in itertools.product(*(s[3] for s in _component_scans(g)))}

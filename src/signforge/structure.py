@@ -330,7 +330,12 @@ def _quadruples(g: SignedGraph, adj: dict) -> Iterator[tuple]:
 def _iter_k4_minus_subdivisions(g: SignedGraph,
                                 allowed: Optional[frozenset] = None
                                 ) -> Iterator[K4MinusSubdivision]:
-    adj = _adjacency(g, range(g.m) if allowed is None else sorted(allowed))
+    eids = range(g.m) if allowed is None else sorted(allowed)
+    for eid in eids:
+        if not 0 <= eid < g.m:
+            raise PreconditionError(f"edge {eid} is not an edge id "
+                                    f"(0..{g.m - 1})")
+    adj = _adjacency(g, eids)
     bits = _bits(adj)
     for quad in _quadruples(g, adj):
         for system in _path_systems(adj, quad, bits):
@@ -362,7 +367,8 @@ def find_k4_minus_subdivision(g: SignedGraph
 def k4_minus_subdivision_edge_sets(g: SignedGraph,
                                    allowed: Optional[frozenset] = None
                                    ) -> tuple:
-    """Distinct edge sets of all-negative-K4 subdivisions inside allowed."""
+    """Distinct edge sets of all-negative-K4 subdivisions inside allowed,
+    a set of edge ids (default every edge; others raise)."""
     out = {w.edge_ids for w in _iter_k4_minus_subdivisions(g, allowed)}
     return tuple(sorted(out, key=sorted))
 
@@ -601,7 +607,7 @@ class _Stream:
     """The tables of one `_decomposition_stream` call.
 
     walks, masks and through are `_cycle_table`'s for g's negative
-    cycles by (length, edge ids), and known the set of the masks.  rest
+    cycles, in its one order, and known the set of the masks.  rest
     masks the non-loop edges and budget is the index they share; odd4
     says whether rest has exactly four odd-degree vertices.  sources
     memoizes `source` and edge_sets the sorted edge ids and the edge set
@@ -613,9 +619,9 @@ class _Stream:
 
     def __init__(self, g: SignedGraph, budget: int):
         self.g = g
-        self.walks, self.masks, self.through = _cycle_table(g, by_length=True)
+        self.walks, self.masks, self.through = _cycle_table(g)
         self.known = set(self.masks)
-        self.rest = (1 << g.m) - 1 - sum(1 << e for e in g.loop_edge_ids)
+        self.rest = (1 << g.m) - 1 & ~g.loop_mask
         self.budget = budget
         self.odd4 = sum(mask.bit_count() & 1
                         for mask in g.incidence_masks.values()) == 4
@@ -723,7 +729,7 @@ def _decomposition_stream(g: SignedGraph, k: Optional[int]) -> Iterator:
         k = frustration_index(g).index
     if k < 2 or g.m == 0:
         return
-    loops = tuple((1 << e, 1) for e in sorted(g.loop_edge_ids))
+    loops = tuple((1 << e, 1) for e in _ids(g.loop_mask))
     s = _Stream(g, k - len(loops))
     if not all(s.through):
         return  # an edge on no negative cycle lies in no critical part

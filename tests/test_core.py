@@ -28,6 +28,7 @@ def test_build_and_accessors():
     assert g.degree("a") == 2 and g.degree("c") == 2  # loop counts twice
     assert g.neighbors("a") == frozenset({"b"})
     assert g.negative_edge_ids == frozenset({1, 2})
+    assert g.negative_mask == 0b110 and g.loop_mask == 0b100
     assert len(g.components) == 2
 
 

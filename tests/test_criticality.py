@@ -2,10 +2,11 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signforge import catalog, core, criticality, frustration
 from signforge.constructions import ghat
-from signforge.core import build_graph, cut, switch
+from signforge.core import POS, balancing_switch_set, build_graph, cut, switch
 from signforge.errors import GuardExceeded, PreconditionError
 from signforge.criticality import (METHODS, certify, equilibrated_cut_for_edge,
                                    is_critical)
@@ -110,6 +111,22 @@ def test_equilibrated_cut_for_bad_edge_id_is_a_typed_error(eid):
 def test_three_methods_agree(g):
     answers = {m: is_critical(g, method=m) for m in METHODS}
     assert len(set(answers.values())) == 1, answers
+
+
+@given(signed_graphs(max_n=5, max_m=8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_positive_loop_changes_no_answer(g, data):
+    # the strategies draw negative loops only; a positive loop is inert,
+    # and it is never negative in a minimum signature, so never critical
+    v = data.draw(st.sampled_from(g.vertices))
+    h = build_graph([(e.u, e.v, e.sign) for e in g.edges] + [(v, v, POS)])
+    assert frustration_index(h) == frustration_index(g)
+    assert all_minimum_signatures(h) == all_minimum_signatures(g)
+    assert balancing_switch_set(h) == balancing_switch_set(g)
+    for method in METHODS:
+        cert = certify(h, method=method)
+        assert not cert.critical
+        assert cert.k == frustration_index(g).index
 
 
 def brute_force_cut(g, eid):

@@ -1,8 +1,12 @@
-"""Every import in the package, the tests and the scripts is used.
+"""Every import in the package, the tests and the scripts is used, and
+every private module-level name of the package is read.
 
-A stdlib `ast` check: a name an import binds must be read somewhere in
-its module.  Package `__init__` modules are skipped, as their imports are
-the package's exports.
+Stdlib `ast` checks.  A name an import binds must be read somewhere in
+its module; package `__init__` modules are skipped, as their imports are
+the package's exports.  A private (`_`-prefixed, not dunder) name that a
+package module defines at module level must be read, as a name or an
+attribute, by some other module-level statement of the package, so a
+helper a cleanup leaves without callers fails here.
 """
 
 import ast
@@ -44,3 +48,51 @@ def test_no_unused_imports():
              if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each private name defined at module level
+    in sources (module -> source text) and read by no other module-level
+    statement of any of them; reads are matched by name."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                names = {node.id for t in targets for node in ast.walk(t)
+                         if isinstance(node, ast.Name)}
+            else:
+                names = set()
+            reads.append({node.id if isinstance(node, ast.Name) else node.attr
+                          for node in ast.walk(stmt)
+                          if isinstance(node, ast.Attribute)
+                          or isinstance(node, ast.Name)
+                          and isinstance(node.ctx, ast.Load)})
+            defined += [(module, stmt.lineno, name, len(reads) - 1)
+                        for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted((module, line, name) for module, line, name, own in defined
+                  if not any(name in read for i, read in enumerate(reads)
+                             if i != own))
+
+
+def test_unread_private_names_are_caught():
+    assert unread_private_names({
+        "a": "_LIMIT, _UNUSED = 3, 4\n"
+             "def _loop(n):\n    return _loop(n - 1)\n"
+             "def _helper():\n    return _LIMIT\n",
+        "b": "import a\nprint(a._helper(), __name__)\n"}) == [
+        ("a", 1, "_UNUSED"), ("a", 2, "_loop")]
+
+
+def test_no_unread_private_names():
+    package = ROOT / "src/signforge"
+    found = [f"{module}:{line}: {name}" for module, line, name
+             in unread_private_names({
+                 str(path.relative_to(ROOT)): path.read_text()
+                 for path in sorted(package.rglob("*.py"))})]
+    assert not found, "private names no module reads:\n" + "\n".join(found)

@@ -143,6 +143,13 @@ def test_k4_subdivision_edge_sets_in_k4():
     assert k4_minus_subdivision_edge_sets(g) == (frozenset(range(6)),)
 
 
+@pytest.mark.parametrize("eid", [-1, 6])
+def test_k4_subdivision_edge_sets_refuse_an_unknown_edge_id(eid):
+    g = k4_all_negative()
+    with pytest.raises(PreconditionError, match=f"edge {eid} is not an edge"):
+        k4_minus_subdivision_edge_sets(g, frozenset({0, 1, eid}))
+
+
 @given(st.one_of(signed_graphs(max_n=6, max_m=10), part_unions(max_m=10)))
 @settings(max_examples=60, deadline=None)
 def test_linear_k4_minus_test_matches_the_enumerator(g):
