@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Byte-identity digests of the cycle, decomposition and switching
+"""Byte-identity digests of the cycle, decomposition, switching and K4-
 searches.
 
-Rebuilds three fixed corpora of calls and prints, per public function, the
+Rebuilds four fixed corpora of calls and prints, per public function, the
 number of calls and a sha256 over their newline-joined outputs.  Two
 checkouts print the same digests iff every answer (and every error) is
 the same byte for byte, so a change that must not alter outputs can be
@@ -35,6 +35,12 @@ per graph six calls: frustration_index(g).to_json(),
 all_minimum_signatures, balancing_switch_set (sorted vertex strings, or
 None) and certify(g, method=m).to_json() for each of the three methods
 (1,527 calls per function).
+
+The K4- corpus is the catalog entries, ghat(0..4), ghat_planar(1..3) and
+random_signed_graph(Random(s), 8, 16) for s = 0..1499; per graph two
+calls: find_k4_minus_subdivision(g) (its to_json, or None) and
+k4_minus_subdivision_edge_sets(g) (as sorted edge-id lists) (1,535
+calls per function).
 
 One output line per call: the repr of the answer (a decomposition by
 its to_json), or the type and message of a SignforgeError.  The script
@@ -216,8 +222,32 @@ def switching_calls():
                 lambda g=g, method=method: certify(g, method=method).to_json())
 
 
+def k4_calls():
+    """(function name, thunk) for every call of the K4- corpus."""
+    from signforge import catalog
+    from signforge.acceptance import random_signed_graph
+    from signforge.constructions import ghat, ghat_planar
+    from signforge.structure import (find_k4_minus_subdivision,
+                                     k4_minus_subdivision_edge_sets)
+
+    graphs = [catalog.get(name).graph for name in catalog.names()]
+    graphs += [ghat(t) for t in range(5)]
+    graphs += [ghat_planar(t)[0] for t in range(1, 4)]
+    graphs += [random_signed_graph(random.Random(s), 8, 16)
+               for s in range(1500)]
+
+    def witness(g):
+        w = find_k4_minus_subdivision(g)
+        return None if w is None else w.to_json()
+
+    for g in graphs:
+        yield "find_k4_minus_subdivision", lambda g=g: witness(g)
+        yield "k4_minus_subdivision_edge_sets", lambda g=g: [
+            sorted(es) for es in k4_minus_subdivision_edge_sets(g)]
+
+
 CORPORA = {"family": family_calls, "decompositions": decomposition_calls,
-           "switching": switching_calls}
+           "switching": switching_calls, "k4": k4_calls}
 
 
 def digests(calls) -> dict:

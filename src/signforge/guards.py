@@ -1,7 +1,11 @@
 """Size guards for the exhaustive searches.
 
-Every exact search in this package is guarded by an explicit size bound.
-Setting the environment variable SIGNFORGE_GUARD_OVERRIDE=1 unlocks all
+The exact searches check explicit size bounds, with two exceptions that
+have none (ROADMAP item 5): the K4- enumeration,
+`structure.k4_minus_subdivision_edge_sets`, whose search also draws the
+decomposition search's index-2 parts, and
+`cycles.negative_cycle_double_cover`, which has only the cycle cap and
+the switching scan's guard.  Setting the environment variable SIGNFORGE_GUARD_OVERRIDE=1 unlocks all
 guards (a warning is emitted once per process).
 """
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .core import NEG, SignedGraph, _content_lines
 from .criticality import is_critical
 from .errors import EmbeddingError, PreconditionError, TheoremViolation
-from .frustration import minimum_signature_switch
+from .frustration import frustration_index
 
 # a dart is (edge id, end); end 0 = the 'a' end (edge.u), end 1 = 'b' (edge.v)
 _DART_RE = re.compile(r"^e(\d+)\.([ab])$")
@@ -74,10 +74,6 @@ class FaceWalk:
         for eid in self.edge_ids:
             s *= g.edges[eid].sign
         return s
-
-    def negative_edge_count(self, g: SignedGraph) -> int:
-        """Negative traversed edges, with multiplicity."""
-        return sum(1 for eid in self.edge_ids if g.edges[eid].sign == NEG)
 
 
 def faces(g: SignedGraph, rot: RotationSystem, planar: bool = True) -> tuple:
@@ -142,16 +138,16 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
     Sub-checks are reported, not asserted, except the universal bound
     (at most 2k negative faces for a critical graph), which raises
     TheoremViolation.
-    The per-face negative-edge count is taken under a computed minimum
-    signature.
+    The per-face negative-edge count is taken, with multiplicity, under
+    the minimum signature that `frustration_index` reports.
     """
     if check_critical:
         if not is_critical(g, k):
             raise PreconditionError(f"graph is not critically {k}-frustrated")
     fs = faces(g, rot, planar=True)
     neg_faces = sum(1 for f in fs if f.sign(g) == NEG)
-    gmin = minimum_signature_switch(g)
-    one_each = all(f.negative_edge_count(gmin) == 1 for f in fs)
+    neg = frustration_index(g).negative_edge_ids
+    one_each = all(sum(eid in neg for eid in f.edge_ids) == 1 for f in fs)
     report = PlanarCriticalReport(
         k=k,
         face_count=len(fs),

@@ -42,10 +42,13 @@ reached through cycles alone, with a family of cycles alone, leaves a
 last part with the odd-degree vertices of the non-loop edges, and a K4-
 has exactly four.  That count is taken once per search.
 
-The K4- subdivisions come from one depth-first search per quadruple of
-branch vertices, which grows the six connecting paths in turn
-(`_path_systems`) and skips every step that leaves a branch vertex fewer
-usable edges than the later paths ending there need.  Once _GATE
+Every K4- answer is read off one stream, `_systems`: one loop over the
+quadruples of branch vertices and, per quadruple, one depth-first search
+that grows the six connecting paths in turn and skips every step that
+leaves a branch vertex fewer usable edges than the later paths ending
+there need.  It yields each system with its edge mask, which the
+enumeration, the decomposition search's index-2 parts and the edge-set
+test read as they are.  Once _GATE
 quadruples have yielded no system, `find_k4_minus_subdivision` adds a
 sign-parity lookahead (`_Lookahead`): it cuts a step after which some
 triangle not yet closed can no longer close negative through the
@@ -120,26 +123,30 @@ class K4MinusSubdivision:
         }
 
 
-def _path_systems(adj: dict, quad: tuple, bits: dict,
-                  look: Optional[_Lookahead] = None) -> Iterator[tuple]:
-    """All systems of six internally-disjoint paths joining quad pairwise
-    such that the four triangle-image cycles are negative.
+def _systems(g: SignedGraph, eids: Iterable[int],
+             gate: Optional[int] = None) -> Iterator[tuple]:
+    """(quadruple, edge mask, paths) for every system of six
+    internally-disjoint paths on the edges eids that joins a quadruple of
+    branch vertices pairwise such that the four triangle-image cycles are
+    negative: an all-negative-K4 subdivision.  The quadruples come
+    ascending by vertex index, and from quadruple number gate on (never
+    by default) the search adds the lookahead.
 
-    adj maps each vertex to its allowed non-loop (eid, other end, sign)
-    entries (`_adjacency`), and bits maps each of its vertices to a bit of
-    its own (`_bits`).  One depth-first search grows the paths in
-    `_PAIR_ORDER`, each along the order of those entries, on one state: the
-    bitmask `used` of the edges on the paths so far, the bitmask `taken`,
-    by bits, of the branch vertices and every inner vertex so far, the
-    stack `steps` of (edge id, far end) steps, whose slice from a path's
-    first step is that path, the list `done` of the finished paths with
-    their signs, and `free[i]`, the count of unused edges at quad[i] whose
-    far end is not an inner vertex.  `hits[o]` lists the branch index of
-    each edge between a non-branch vertex o and quad: a step onto o as an
-    inner vertex takes those edges out of `free`, and a path that is one
-    direct edge takes that edge out at both of its ends.  `used` and
-    `taken` are passed down, so a return clears them; everything else is
-    marked on the way down and cleared on the way back.
+    adj maps each vertex to its non-loop (eid, other end, sign) entries
+    (`_adjacency`), and bits maps each of its vertices to a bit of its own
+    (`_bits`).  One depth-first search per quadruple quad grows the paths
+    in `_PAIR_ORDER`, each along the order of those entries, on one state:
+    the bitmask `used` of the edges on the paths so far, the bitmask
+    `taken`, by bits, of the branch vertices and every inner vertex so
+    far, the stack `steps` of (edge id, far end) steps, whose slice from a
+    path's first step is that path, the list `done` of the finished paths
+    with their signs, and `free[i]`, the count of unused edges at quad[i]
+    whose far end is not an inner vertex.  `hits[o]` lists the branch
+    index of each edge between a non-branch vertex o and quad: a step onto
+    o as an inner vertex takes those edges out of `free`, and a path that
+    is one direct edge takes that edge out at both of its ends.  `used`
+    and `taken` are passed down, so a return clears them; everything else
+    is marked on the way down and cleared on the way back.
 
     The prune: each path after path pi needs an edge of its own at each of
     its two ends, one that is unused and does not lead to a vertex taken
@@ -150,29 +157,38 @@ def _path_systems(adj: dict, quad: tuple, bits: dict,
     it already took.  A direct edge needs no check: when path pi starts,
     both its ends still hold one edge more than the later paths need.
 
-    Given look, every step onto an inner vertex and every path boundary
-    also asks `look.completable` whether each triangle not yet closed can
-    still close negative, and a step where one cannot is skipped.  Both
-    cuts open only subtrees without a system, so the systems and their
-    order are those of the unpruned search.
+    With the lookahead, every step onto an inner vertex and every path
+    boundary also asks `_Lookahead.completable` whether each triangle not
+    yet closed can still close negative, and a step where one cannot is
+    skipped.  Both cuts open only subtrees without a system, so the
+    systems and their order are those of the unpruned search.
     """
-    hits: dict = {}
-    for i, x in enumerate(quad):
-        for _, o, _ in adj[x]:
-            if o not in quad:
-                hits.setdefault(o, []).append(i)
-    free = [len(adj[x]) for x in quad]
-    taken = sum([bits[x] for x in quad])
-    return _grow(adj, quad, bits, hits, free, taken, [], [], 0, 0, quad[0],
-                 POS, 0, look)
+    adj, look = _adjacency(g, eids), None
+    bits = _bits(adj)
+    candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
+                        key=g.vindex.__getitem__)
+    for count, quad in enumerate(itertools.combinations(candidates, 4)):
+        if count == gate:
+            look = _Lookahead(adj, bits)
+        hits: dict = {}
+        for i, x in enumerate(quad):
+            for _, o, _ in adj[x]:
+                if o not in quad:
+                    hits.setdefault(o, []).append(i)
+        for es, paths in _grow(adj, quad, bits, hits,
+                               [len(adj[x]) for x in quad],
+                               sum([bits[x] for x in quad]), [], [], 0, 0,
+                               quad[0], POS, 0, look):
+            yield quad, es, paths
 
 
 def _grow(adj: dict, quad: tuple, bits: dict, hits: dict, free: list,
           taken: int, steps: list, done: list, used: int, pi: int, v,
           sign: int, begin: int, look: Optional[_Lookahead]
           ) -> Iterator[tuple]:
-    """`_path_systems` from path pi, grown as far as v with the given
-    sign, its first step at steps[begin]."""
+    """`_systems`' search of quad from path pi, grown as far as v with the
+    given sign, its first step at steps[begin]: (edge mask, paths) per
+    system."""
     a, b = _PAIR_ORDER[pi]
     y = quad[b]
     later = _LATER[pi]
@@ -191,7 +207,7 @@ def _grow(adj: dict, quad: tuple, bits: dict, hits: dict, free: list,
             if all([done[i][1] * done[j][1] * done[k][1] == NEG
                     for i, j, k in _TRIANGLES[pi]]):
                 if pi == 5:
-                    yield tuple([p for p, _ in done])
+                    yield used | 1 << eid, tuple([p for p, _ in done])
                 else:
                     x = quad[_PAIR_ORDER[pi + 1][0]]
                     if look is None or look.completable(
@@ -320,28 +336,6 @@ def _bits(adj: dict) -> dict:
     return {v: 1 << i for i, v in enumerate(adj)}
 
 
-def _quadruples(g: SignedGraph, adj: dict) -> Iterator[tuple]:
-    """The branch quadruples, ascending by vertex index."""
-    candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
-                        key=g.vindex.__getitem__)
-    return itertools.combinations(candidates, 4)
-
-
-def _iter_k4_minus_subdivisions(g: SignedGraph,
-                                allowed: Optional[frozenset] = None
-                                ) -> Iterator[K4MinusSubdivision]:
-    eids = range(g.m) if allowed is None else sorted(allowed)
-    for eid in eids:
-        if not 0 <= eid < g.m:
-            raise PreconditionError(f"edge {eid} is not an edge id "
-                                    f"(0..{g.m - 1})")
-    adj = _adjacency(g, eids)
-    bits = _bits(adj)
-    for quad in _quadruples(g, adj):
-        for system in _path_systems(adj, quad, bits):
-            yield K4MinusSubdivision(quad, system)
-
-
 def find_k4_minus_subdivision(g: SignedGraph
                               ) -> Optional[K4MinusSubdivision]:
     """First all-negative-K4 subdivision in deterministic order, or None.
@@ -353,15 +347,8 @@ def find_k4_minus_subdivision(g: SignedGraph
                  "quadruple search (vertices)")
     guards.check(g.m, guards.QUADRUPLE_SEARCH_MAX_EDGES,
                  "quadruple search (edges)")
-    adj, look = _adjacency(g, range(g.m)), None
-    bits = _bits(adj)
-    for count, quad in enumerate(_quadruples(g, adj)):
-        if count == _GATE:
-            look = _Lookahead(adj, bits)
-        system = next(_path_systems(adj, quad, bits, look), None)
-        if system is not None:
-            return K4MinusSubdivision(quad, system)
-    return None
+    found = next(_systems(g, range(g.m), _GATE), None)
+    return None if found is None else K4MinusSubdivision(found[0], found[2])
 
 
 def k4_minus_subdivision_edge_sets(g: SignedGraph,
@@ -369,8 +356,13 @@ def k4_minus_subdivision_edge_sets(g: SignedGraph,
                                    ) -> tuple:
     """Distinct edge sets of all-negative-K4 subdivisions inside allowed,
     a set of edge ids (default every edge; others raise)."""
-    out = {w.edge_ids for w in _iter_k4_minus_subdivisions(g, allowed)}
-    return tuple(sorted(out, key=sorted))
+    eids = range(g.m) if allowed is None else sorted(allowed)
+    for eid in eids:
+        if not 0 <= eid < g.m:
+            raise PreconditionError(f"edge {eid} is not an edge id "
+                                    f"(0..{g.m - 1})")
+    out = {es for _, es, _ in _systems(g, eids)}
+    return tuple(map(frozenset, sorted(tuple(_ids(es)) for es in out)))
 
 
 def _k4_minus_edge_set(g: SignedGraph, es: int) -> bool:
@@ -381,17 +373,14 @@ def _k4_minus_edge_set(g: SignedGraph, es: int) -> bool:
     es needs four vertices of degree 3 and every other vertex it meets of
     degree 2, read off the incidence masks, which rejects most sets before
     any adjacency is built.  Then every path out of the four is forced,
-    `_path_systems` on es alone finds at most one system in linear time,
-    and es is one when that system uses every edge; a loop, which no path
-    uses, fails that count.
+    `_systems` on es alone finds at most one system in linear time, and es
+    is one when that system uses every edge; a loop, which no path uses,
+    fails that test.
     """
     degree = [(m & es).bit_count() for m in g.incidence_masks.values()]
     if degree.count(3) != 4 or degree.count(2) + degree.count(0) != g.n - 4:
         return False
-    adj = _adjacency(g, _ids(es))
-    branch = tuple(v for v, entries in adj.items() if len(entries) == 3)
-    system = next(_path_systems(adj, branch, _bits(adj)), ())
-    return sum(len(eids) for _, eids, _ in system) == es.bit_count()
+    return next(_systems(g, _ids(es)), (None, 0))[1] == es
 
 
 # -- packing vs frustration (subdivision-free equality) --------------------------
@@ -638,10 +627,8 @@ class _Stream:
                 self.sources[1] = [(c, 1) for c in self.masks
                                    if not c & ~avail]
             elif j == 2:
-                self.sources[2] = [
-                    (sum(1 << e for e in es), 2) for es in
-                    k4_minus_subdivision_edge_sets(self.g,
-                                                   frozenset(_ids(avail)))]
+                self.sources[2] = [(es, 2) for es in sorted(
+                    {es for _, es, _ in _systems(self.g, _ids(avail))})]
             else:
                 large = _large_parts(self.g, avail, self.budget - 2,
                                      self.masks)
@@ -724,10 +711,12 @@ def _search(s: _Stream, remaining: int, budget: int, dead: int,
 def _decomposition_stream(g: SignedGraph, k: Optional[int]) -> Iterator:
     """All partitions into non-decomposable critical parts (t >= 2 parts),
     each once, as (sort key, Decomposition) pairs (`_Stream.decomposition`);
-    k defaults to the frustration index."""
+    k defaults to the frustration index.  A minimum cover meets each part
+    in a cover of it, so the part indices of a partition sum to at most
+    the index, and so to at most the number of negative edges."""
     if k is None:
         k = frustration_index(g).index
-    if k < 2 or g.m == 0:
+    if not 2 <= k <= g.negative_mask.bit_count():
         return
     loops = tuple((1 << e, 1) for e in _ids(g.loop_mask))
     s = _Stream(g, k - len(loops))

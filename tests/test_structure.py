@@ -307,6 +307,12 @@ def _unpruned_subdivisions(g, allowed=None, nodes=None):
             yield structure.K4MinusSubdivision(quad, system)
 
 
+def _subdivisions(g):
+    """`structure._systems` on every edge of g, as K4MinusSubdivision."""
+    return [structure.K4MinusSubdivision(quad, paths)
+            for quad, _, paths in structure._systems(g, range(g.m))]
+
+
 # the first two quadruples, (2, 3, 4, 1) and (2, 3, 4, 0), have no system;
 # the prune cuts nodes of both before the witness on (2, 3, 1, 0)
 _PRUNED_BEFORE_WITNESS = build_graph([
@@ -329,8 +335,7 @@ _WITNESS_PAST_THE_GATE = build_graph(
 @example(_WITNESS_PAST_THE_GATE, random.Random(0))
 @settings(max_examples=80, deadline=None)
 def test_pruned_k4_minus_search_matches_the_unpruned_oracle(g, rng):
-    assert (list(structure._iter_k4_minus_subdivisions(g))
-            == list(_unpruned_subdivisions(g)))
+    assert _subdivisions(g) == list(_unpruned_subdivisions(g))
     assert find_k4_minus_subdivision(g) == next(_unpruned_subdivisions(g),
                                                 None)
     allowed = frozenset(e for e in range(g.m) if rng.random() < 0.7)
@@ -355,8 +360,8 @@ def test_prune_cuts_the_search(monkeypatch):
     assert find_k4_minus_subdivision(g) == witness
     assert (len(nodes), len(oracle_nodes)) == (31, 42)
     g, nodes[:], oracle_nodes = ghat(1), [], []
-    assert (list(structure._iter_k4_minus_subdivisions(g))
-            == list(_unpruned_subdivisions(g, nodes=oracle_nodes)))
+    assert _subdivisions(g) == list(_unpruned_subdivisions(
+        g, nodes=oracle_nodes))
     assert (len(nodes), len(oracle_nodes)) == (323, 477)
 
 
@@ -389,13 +394,22 @@ def test_lookahead_cuts_the_search_past_the_gate(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_lookahead_keeps_every_system_in_order(g):
     # the oracle test sees only find's first witness past the gate; here
-    # every quadruple's systems are listed with and without the lookahead
-    adj = structure._adjacency(g, range(g.m))
-    bits = structure._bits(adj)
-    look = structure._Lookahead(adj, bits)
-    for quad in structure._quadruples(g, adj):
-        assert (list(structure._path_systems(adj, quad, bits, look))
-                == list(structure._path_systems(adj, quad, bits)))
+    # every system is listed with the lookahead from the first quadruple
+    # and without it
+    assert (list(structure._systems(g, range(g.m), 0))
+            == list(structure._systems(g, range(g.m))))
+
+
+@given(st.one_of(signed_graphs(max_n=8, max_m=16), part_unions(max_m=16)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_each_system_mask_is_the_union_of_its_paths(g, rng):
+    eids = sorted(e for e in range(g.m) if rng.random() < 0.8)
+    for quad, es, paths in structure._systems(g, eids):
+        ids = [e for _, path, _ in paths for e in path]
+        assert es == sum({1 << e for e in ids}) and es.bit_count() == len(ids)
+        assert {ends for ends, _, _ in paths} == {
+            (quad[a], quad[b]) for a, b in structure._PAIR_ORDER}
 
 
 @given(signed_graphs(max_n=7, max_m=12, loops=False), st.data())
@@ -689,6 +703,20 @@ def test_positive_loop_blocks_decomposition_at_every_k():
     # a positive loop lies on no negative cycle, so in no critical part
     g = build_graph(_K4 + [(4, 4, "-"), (5, 5, "-"), (5, 5, "+")])
     assert all(find_decompositions(g, k) == () for k in range(7))
+
+
+def test_no_partition_above_the_negative_edge_count(monkeypatch):
+    # a minimum cover meets each part in a cover of it, so the part
+    # indices sum to at most the index, which the negative edges bound:
+    # ghat(3) has three, and k = 5 is answered without the subset search
+    def refuse(*args):
+        raise AssertionError("subset search reached")
+
+    monkeypatch.setattr(structure, "_large_parts", refuse)
+    g = ghat(3)
+    assert g.negative_mask.bit_count() == 3
+    assert not is_decomposable(g, 5)
+    assert find_decompositions(g, 4) == ()
 
 
 def test_k4_joins_of_index_4_are_not_decomposable():
