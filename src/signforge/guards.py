@@ -1,12 +1,11 @@
 """Size guards for the exhaustive searches.
 
-The exact searches check explicit size bounds, with two exceptions that
-have none (ROADMAP item 5): the K4- enumeration,
-`structure.k4_minus_subdivision_edge_sets`, whose search also draws the
-decomposition search's index-2 parts, and
+The exact searches check explicit size bounds, except two (ROADMAP item
+5): the K4- enumeration, `structure.k4_minus_subdivision_edge_sets`,
+whose search also draws the decomposition search's index-2 parts, and
 `cycles.negative_cycle_double_cover`, which has only the cycle cap and
-the switching scan's guard.  Setting the environment variable SIGNFORGE_GUARD_OVERRIDE=1 unlocks all
-guards (a warning is emitted once per process).
+the switching scan's guard.  Setting SIGNFORGE_GUARD_OVERRIDE=1 in the
+environment unlocks all guards (a warning is emitted once per process).
 """
 
 import os
