@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Byte-identity digests of the cycle, decomposition, switching and K4-
-searches.
+"""Byte-identity digests of the cycle, decomposition, switching, K4- and
+planar/cut answers.
 
-Rebuilds four fixed corpora of calls and prints, per public function, the
+Rebuilds five fixed corpora of calls and prints, per public function, the
 number of calls and a sha256 over their newline-joined outputs.  Two
 checkouts print the same digests iff every answer (and every error) is
 the same byte for byte, so a change that must not alter outputs can be
@@ -41,6 +41,16 @@ random_signed_graph(Random(s), 8, 16) for s = 0..1499; per graph two
 calls: find_k4_minus_subdivision(g) (its to_json, or None) and
 k4_minus_subdivision_edge_sets(g) (as sorted edge-id lists) (1,535
 calls per function).
+
+The planar corpus is verify_planar_critical(h, rot, k).to_json() with
+check_critical True and False, k the frustration index, for h each
+catalog entry with a rotation and ghat_planar(1..6), and three
+switchings of each at vertex sets drawn from Random(i), i the graph's
+position (80 calls per function); then, on
+random_signed_graph(Random(s), 7, 12) for s = 0..599, cut(g, x).to_json()
+at a vertex set x drawn from Random(s) (600 calls) and
+equilibrated_cut_for_edge(g, e) (its to_json, or None) for every edge e
+(3,849 calls).
 
 One output line per call: the repr of the answer (a decomposition by
 its to_json), or the type and message of a SignforgeError.  The script
@@ -246,8 +256,47 @@ def k4_calls():
             sorted(es) for es in k4_minus_subdivision_edge_sets(g)]
 
 
+def planar_calls():
+    """(function name, thunk) for every call of the planar corpus."""
+    from signforge import catalog
+    from signforge.acceptance import random_signed_graph
+    from signforge.constructions import ghat_planar
+    from signforge.core import cut, switch
+    from signforge.criticality import equilibrated_cut_for_edge
+    from signforge.frustration import frustration_index
+    from signforge.planar import verify_planar_critical
+
+    embedded = [(e.graph, e.rotation) for e in map(catalog.get,
+                                                   catalog.names())
+                if e.rotation is not None]
+    embedded += [ghat_planar(t)[:2] for t in range(1, 7)]
+    for i, (g, rot) in enumerate(embedded):
+        rng = random.Random(i)
+        for h in [g] + [switch(g, [v for v in g.vertices
+                                   if rng.random() < 0.5]) for _ in range(3)]:
+            k = frustration_index(h).index
+            for check in (True, False):
+                yield f"verify_planar_critical(check_critical={check})", (
+                    lambda h=h, rot=rot, k=k, check=check:
+                    verify_planar_critical(h, rot, k, check).to_json())
+    for s in range(600):
+        rng = random.Random(s)
+        g = random_signed_graph(rng, 7, 12)
+        side = [v for v in g.vertices if rng.random() < 0.5]
+        yield "cut", lambda g=g, side=side: cut(g, side).to_json()
+        for eid in range(g.m):
+            yield "equilibrated_cut_for_edge", (
+                lambda g=g, eid=eid: _json(equilibrated_cut_for_edge(g, eid)))
+
+
+def _json(value):
+    """value.to_json(), None kept."""
+    return None if value is None else value.to_json()
+
+
 CORPORA = {"family": family_calls, "decompositions": decomposition_calls,
-           "switching": switching_calls, "k4": k4_calls}
+           "switching": switching_calls, "k4": k4_calls,
+           "planar": planar_calls}
 
 
 def digests(calls) -> dict:

@@ -286,19 +286,15 @@ class EdgeCut:
 
 
 def cut(g: SignedGraph, x: Iterable[Vertex]) -> EdgeCut:
-    """The edge-cut at vertex subset x, with sign counts (loops never cut)."""
+    """The edge-cut at vertex subset x, with sign counts (loops never cut):
+    its boundary is the XOR of x's incidence masks."""
     x = frozenset(x)
     g.check_vertices(x)
-    boundary = []
-    neg = 0
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        if (e.u in x) != (e.v in x):
-            boundary.append(e.eid)
-            if e.sign == NEG:
-                neg += 1
-    return EdgeCut(x, frozenset(boundary), len(boundary) - neg, neg)
+    b = 0
+    for v in x:
+        b ^= g.incidence_masks[v]
+    neg = (b & g.negative_mask).bit_count()
+    return EdgeCut(x, frozenset(_ids(b)), b.bit_count() - neg, neg)
 
 
 # -- cycles -------------------------------------------------------------------

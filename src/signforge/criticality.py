@@ -10,7 +10,7 @@ deleting any single edge drops the index to k-1.  Three checks:
                 scan (the OR of the minimizers' negative-edge masks) gives
                 every ℓ(G-e), with no rescans;
 * signatures -- every edge is negative in some minimum signature, made
-                of one minimizer's mask per component;
+                of one minimizer's mask per `_component_scans` part;
 * cuts       -- after switching to a minimum signature, every positive
                 edge lies in some equilibrated cut (equally many positive
                 and negative boundary edges).  Switching at such a cut
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import guards
-from .core import EdgeCut, SignedGraph, _ids
+from .core import EdgeCut, SignedGraph, _ids, cut
 from .errors import PreconditionError
 from .frustration import _component_scans, _minimizer
 
@@ -74,9 +74,7 @@ def equilibrated_cut_for_edge(g: SignedGraph, eid: int) -> Optional[EdgeCut]:
             b = functools.reduce(operator.xor, map(inc.__getitem__, combo),
                                  inc[anchor])
             if b >> eid & 1 and 2 * (b & neg).bit_count() == b.bit_count():
-                half = b.bit_count() // 2
-                return EdgeCut(frozenset((anchor, *combo)),
-                               frozenset(_ids(b)), half, half)
+                return cut(g, (anchor, *combo))
     return None
 
 
@@ -102,12 +100,12 @@ def _equilibrated_cuts(g: SignedGraph, scans: list, picks: list,
     least side there to the first component's least anchored side.
     """
     found, base, bound = {}, [], 0
-    for c, ((free, _, masks, negs), pick) in enumerate(zip(scans, picks)):
+    parts = zip(g.components, scans, picks)  # the loop part holds no cut
+    for c, (comp, (free, _, masks, negs), pick) in enumerate(parts):
         if not open_mask:
             break
         # bit 0 of a side is the anchor, bit j+1 the j-th free vertex
-        verts = [min(g.components[c], key=g.vindex.__getitem__) if c
-                 else g.vertices[0], *free]
+        verts = [min(comp, key=g.vindex.__getitem__), *free]
         full, sides = (2 << len(free)) - 1, {}
         for m, n in zip(masks, negs):
             t = (m ^ masks[pick]) << 1
@@ -124,28 +122,25 @@ def _equilibrated_cuts(g: SignedGraph, scans: list, picks: list,
                 found.update(dict.fromkeys(_ids(hit), EdgeCut(
                     frozenset([*base, *map(verts.__getitem__, _ids(side))]),
                     frozenset(_ids(b)), half, half)))
-        if not c and len(scans) > 1:
+        if not c:
             base = list(map(verts.__getitem__, _ids(order[0])))
             bound = sides[order[0]]
     return found
 
 
 def _certify_deletion(g: SignedGraph, k: int, scans: list) -> tuple:
-    # the edges negative in some minimum switching, negative loops included
-    lowered = functools.reduce(operator.or_,
-                               (neg for s in scans for neg in s[3]),
-                               g.loop_mask & g.negative_mask)
+    # the edges negative in some minimum switching of their part
+    lowered = functools.reduce(operator.or_, (n for s in scans for n in s[3]))
     drops = {eid: k - 1 if lowered >> eid & 1 else k for eid in range(g.m)}
     critical = all(sub == k - 1 for sub in drops.values())
     return critical, {"index_after_deletion": drops}
 
 
 def _certify_signatures(g: SignedGraph, k: int, scans: list) -> tuple:
-    # the lex-least minimum signature holding an edge is, per component,
-    # the lex-least mask (holding the edge in its own component): a
-    # component's masks are of one size; the negative loops are one part
-    ranked = [[g.loop_mask & g.negative_mask]]
-    ranked += (sorted(s[3], key=_lex, reverse=True) for s in scans)
+    # the lex-least minimum signature holding an edge is, per part, the
+    # lex-least mask (holding the edge in its own part): a part's masks
+    # are of one size
+    ranked = [sorted(s[3], key=_lex, reverse=True) for s in scans]
     least = sum(negs[0] for negs in ranked)
     witness, open_mask = dict.fromkeys(range(g.m)), (1 << g.m) - 1
     for negs in ranked:
@@ -185,12 +180,11 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; use one of {METHODS}")
-    # one scan per component gives the index, and its minimizers'
+    # one scan per part gives the index, and its minimizers'
     # negative-edge masks give every ℓ(G-e), every minimum signature, or
     # the lex-least minimum signature
     scans = _component_scans(g)
-    index = (g.loop_mask & g.negative_mask).bit_count() + sum(
-        s[1] for s in scans)
+    index = sum(s[1] for s in scans)
     if k is None:
         k = index
     if index != k or k == 0:

@@ -88,21 +88,24 @@ def _walks(g: SignedGraph, negative_only: bool) -> list:
                 path_e.pop()
                 path_v.pop()
 
-    for s, start in enumerate(g.vertices):
-        below = (2 << s) - 1  # s and the vertices before it
-        path_v.append(start)
-        dfs(s, s, -1, 0, below, 0)  # no targets: only the loops at s close
-        later = 0  # the later ends of the edges at s above the current one
-        for eid, o, j, bit in sorted(adj[s], reverse=True):
-            if j > s:
-                if later:
-                    path_v.append(o)
-                    path_e.append(eid)
-                    dfs(j, s, eid, later, below | 1 << j, bit)
-                    path_e.pop()
-                    path_v.pop()
-                later |= 1 << j
-        path_v.pop()
+    try:  # one level per path step
+        for s, start in enumerate(g.vertices):
+            below = (2 << s) - 1  # s and the vertices before it
+            path_v.append(start)
+            dfs(s, s, -1, 0, below, 0)  # no targets: only loops at s close
+            later = 0  # the later ends of the edges at s above the current
+            for eid, o, j, bit in sorted(adj[s], reverse=True):
+                if j > s:
+                    if later:
+                        path_v.append(o)
+                        path_e.append(eid)
+                        dfs(j, s, eid, later, below | 1 << j, bit)
+                        path_e.pop()
+                        path_v.pop()
+                    later |= 1 << j
+            path_v.pop()
+    except RecursionError:
+        raise guards._too_deep("cycle search") from None
     del dfs  # a self-referencing closure: free its state now, not at gc
     return out
 
@@ -204,7 +207,10 @@ def _least_family(options: list, universe: int, size: int, lo: int,
         failed.add(key)
         return None
 
-    found = step(0, 0, size, 0, 0, 0, 0)
+    try:  # one level per pick
+        found = step(0, 0, size, 0, 0, 0, 0)
+    except RecursionError:
+        raise guards._too_deep("cycle family search") from None
     del step  # a self-referencing closure: free its memo now, not at gc
     return found
 

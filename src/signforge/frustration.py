@@ -20,8 +20,8 @@ the first 9 vertices' masks in Gray order; smaller walks, every
 enumeration walk among them, stay a loop.
 
 Negative loops are unswitchable and each contributes exactly 1; positive
-loops contribute 0.  Loops never enter the masks, and the negative loops
-are added back to the total.
+loops contribute 0.  Loops never enter the masks: the negative loops are
+a last part of their own, with one switching.
 """
 
 from __future__ import annotations
@@ -119,10 +119,13 @@ def _scan(g: SignedGraph, comp: frozenset) -> tuple:
 
 def _component_scans(g: SignedGraph) -> list:
     """`_scan` of every component, in component order, under the switching
-    guard; the scan is exponential in the largest component only."""
+    guard (exponential in the largest component only), then the negative
+    loops as a last part, with no free vertex."""
     guards.check(max(map(len, g.components), default=0),
                  guards.SWITCH_SEARCH_MAX_VERTICES, "switching search")
-    return [_scan(g, comp) for comp in g.components]
+    loops = g.loop_mask & g.negative_mask
+    return [_scan(g, comp) for comp in g.components] + [
+        ([], loops.bit_count(), [0], [loops])]
 
 
 def _least(free: list, masks: list) -> int:
@@ -142,13 +145,13 @@ def _least(free: list, masks: list) -> int:
 
 
 def _minimizer(g: SignedGraph, scans: list) -> tuple:
-    """`frustration_index`'s witness read from the components' `_scan`s,
-    as (switch set, negative-edge mask, the chosen minimizer's position in
-    each component's masks)."""
-    full, neg, picks = frozenset(), g.loop_mask & g.negative_mask, []
+    """`frustration_index`'s witness read from the parts' scans, as
+    (switch set, negative-edge mask, the chosen minimizer's position in
+    each part's masks)."""
+    full, neg, picks = frozenset(), 0, []
     for free, _, masks, negs in scans:
         i = _least(free, masks)
-        full |= frozenset([v for j, v in enumerate(free) if masks[i] >> j & 1])
+        full |= frozenset(map(free.__getitem__, _ids(masks[i])))
         neg |= negs[i]
         picks.append(i)
     return full, neg, picks
@@ -171,14 +174,13 @@ def all_minimum_signatures(g: SignedGraph) -> tuple:
 
     Returned sorted lexicographically.  Distinct switch sets can induce
     the same negative edge set; duplicates are collapsed.  Read off the
-    components' `_scan`s: a minimizer's mask per component.
+    parts' scans: a minimizer's mask per part.
     """
     # the answer is a product over the components, so g.n bounds it
     guards.check(g.n, guards.SWITCH_SEARCH_MAX_VERTICES,
                  "minimum-signature enumeration")
-    loops = g.loop_mask & g.negative_mask
-    # the components' masks are disjoint, so their sum is their union
-    out = {sum(combo, loops) for combo
+    # the parts' masks are disjoint, so their sum is their union
+    out = {sum(combo) for combo
            in itertools.product(*(s[3] for s in _component_scans(g)))}
     return tuple(sorted(tuple(_ids(neg)) for neg in out))
 

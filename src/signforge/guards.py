@@ -6,6 +6,10 @@ whose search also draws the decomposition search's index-2 parts, and
 `cycles.negative_cycle_double_cover`, which has only the cycle cap and
 the switching scan's guard.  Setting SIGNFORGE_GUARD_OVERRIDE=1 in the
 environment unlocks all guards (a warning is emitted once per process).
+The recursive searches (the cycle walk, the family search, the
+decomposition recursion and the K4- path search) also refuse an input
+that runs past the interpreter's recursion limit, which no override
+lifts.
 """
 
 import os
@@ -51,3 +55,13 @@ def check(value: int, limit: int, what: str) -> None:
         f"{what}: {value} exceeds guard {limit} "
         "(set SIGNFORGE_GUARD_OVERRIDE=1 to force)"
     )
+
+
+def _too_deep(what: str) -> GuardExceeded:
+    """The refusal of a recursive search that raised RecursionError: it ran
+    deeper than the interpreter's recursion limit, which no override
+    lifts."""
+    return GuardExceeded(
+        f"{what}: deeper than the recursion limit "
+        f"{sys.getrecursionlimit()} (SIGNFORGE_GUARD_OVERRIDE=1 "
+        "cannot lift it)")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .core import NEG, SignedGraph, _content_lines
 from .criticality import is_critical
 from .errors import EmbeddingError, PreconditionError, TheoremViolation
-from .frustration import frustration_index
 
 # a dart is (edge id, end); end 0 = the 'a' end (edge.u), end 1 = 'b' (edge.v)
 _DART_RE = re.compile(r"^e(\d+)\.([ab])$")
@@ -137,24 +136,23 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
 
     Sub-checks are reported, not asserted, except the universal bound
     (at most 2k negative faces for a critical graph), which raises
-    TheoremViolation.
-    The per-face negative-edge count is taken, with multiplicity, under
-    the minimum signature that `frustration_index` reports.
+    TheoremViolation.  k must be the frustration index.  Any minimum
+    signature N (|N| = k) meets the face walks 2k times, as every edge has
+    two darts, and a face an odd number of times iff it is negative: so N
+    meets every face exactly once iff there are 2k faces, all negative.
     """
     if check_critical:
         if not is_critical(g, k):
             raise PreconditionError(f"graph is not critically {k}-frustrated")
     fs = faces(g, rot, planar=True)
     neg_faces = sum(1 for f in fs if f.sign(g) == NEG)
-    neg = frustration_index(g).negative_edge_ids
-    one_each = all(sum(eid in neg for eid in f.edge_ids) == 1 for f in fs)
     report = PlanarCriticalReport(
         k=k,
         face_count=len(fs),
         negative_face_count=neg_faces,
         all_faces_negative=neg_faces == len(fs),
         face_count_is_2k=len(fs) == 2 * k,
-        one_negative_edge_per_face=one_each,
+        one_negative_edge_per_face=neg_faces == len(fs) == 2 * k,
         negative_bound_ok=neg_faces <= 2 * k,
     )
     if not report.negative_bound_ok:

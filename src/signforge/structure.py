@@ -167,19 +167,22 @@ def _systems(g: SignedGraph, eids: Iterable[int],
     bits = _bits(adj)
     candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
                         key=g.vindex.__getitem__)
-    for count, quad in enumerate(itertools.combinations(candidates, 4)):
-        if count == gate:
-            look = _Lookahead(adj, bits)
-        hits: dict = {}
-        for i, x in enumerate(quad):
-            for _, o, _ in adj[x]:
-                if o not in quad:
-                    hits.setdefault(o, []).append(i)
-        for es, paths in _grow(adj, quad, bits, hits,
-                               [len(adj[x]) for x in quad],
-                               sum([bits[x] for x in quad]), [], [], 0, 0,
-                               quad[0], POS, 0, look):
-            yield quad, es, paths
+    try:  # one level per path step
+        for count, quad in enumerate(itertools.combinations(candidates, 4)):
+            if count == gate:
+                look = _Lookahead(adj, bits)
+            hits: dict = {}
+            for i, x in enumerate(quad):
+                for _, o, _ in adj[x]:
+                    if o not in quad:
+                        hits.setdefault(o, []).append(i)
+            for es, paths in _grow(adj, quad, bits, hits,
+                                   [len(adj[x]) for x in quad],
+                                   sum([bits[x] for x in quad]), [], [],
+                                   0, 0, quad[0], POS, 0, look):
+                yield quad, es, paths
+    except RecursionError:
+        raise guards._too_deep("K4- path search") from None
 
 
 def _grow(adj: dict, quad: tuple, bits: dict, hits: dict, free: list,
@@ -723,7 +726,10 @@ def _decomposition_stream(g: SignedGraph, k: Optional[int]) -> Iterator:
     if not all(s.through):
         return  # an edge on no negative cycle lies in no critical part
     # every loop is now negative, and a part on its own
-    yield from _search(s, s.rest, s.budget, 0, loops)
+    try:  # one level per part
+        yield from _search(s, s.rest, s.budget, 0, loops)
+    except RecursionError:
+        raise guards._too_deep("decomposition search") from None
 
 
 def find_decompositions(g: SignedGraph, k: Optional[int] = None) -> tuple:

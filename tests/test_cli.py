@@ -71,6 +71,24 @@ def test_usage_errors_exit_64(tmp_path):
     assert invoke(["no-such-command"]) == 64
 
 
+@pytest.mark.parametrize("argv, sg", [
+    # 1200 components of two vertices: one decomposition part per level
+    (["decompose"], "".join(f"{2 * i} {2 * i + 1} -\n{2 * i} {2 * i + 1} +\n"
+                            for i in range(1200))),
+    # one 1500-vertex cycle: one cycle-walk level per path step
+    (["decompose", "--k", "2"], "".join(f"{i} {(i + 1) % 1500} -\n"
+                                        for i in range(1500))),
+], ids=["digons", "long-cycle"])
+def test_recursion_past_the_limit_exits_3(tmp_path, capsys, monkeypatch,
+                                          argv, sg):
+    monkeypatch.setenv("SIGNFORGE_GUARD_OVERRIDE", "1")  # it cannot help
+    p = tmp_path / "deep.sg"
+    p.write_text(sg)
+    assert invoke(argv + [str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "recursion limit" in err and "cannot lift" in err
+
+
 def test_guard_refusal_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
     out = tmp_path / "enum"

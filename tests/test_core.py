@@ -108,6 +108,22 @@ def test_cut_counts():
     assert c.equilibrated
 
 
+@given(signed_graphs(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cut_is_the_per_edge_boundary(g, positive_loop, data):
+    if positive_loop:  # the strategy draws negative loops only
+        v = g.vertices[-1]
+        g = build_graph([(e.u, e.v, e.sign) for e in g.edges] + [(v, v, POS)])
+    x = data.draw(vertex_subsets(g))
+    boundary = [e for e in g.edges
+                if not e.is_loop and (e.u in x) != (e.v in x)]
+    neg = sum(e.sign == NEG for e in boundary)
+    c = cut(g, x)
+    assert c.side == x
+    assert c.boundary == frozenset(e.eid for e in boundary)
+    assert (c.pos_count, c.neg_count) == (len(boundary) - neg, neg)
+
+
 def test_cycle_sign_and_validation():
     g = triangle("++-")
     c = Cycle((0, 1, 2), ("a", "b", "c", "a"))

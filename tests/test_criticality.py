@@ -12,6 +12,7 @@ from signforge.criticality import (METHODS, certify, equilibrated_cut_for_edge,
                                    is_critical)
 from signforge.frustration import (all_minimum_signatures, frustration_index,
                                    minimum_signature_switch)
+from signforge.planar import verify_planar_critical
 from signforge.structure import in_s_star
 
 from strategies import signed_graphs
@@ -275,6 +276,27 @@ def test_one_walk_per_question(monkeypatch):
         walks.clear()
         assert certify(g, method=method).critical
         assert len(walks) == 1
+
+
+def test_one_scan_per_planar_report_and_catalog_check(monkeypatch):
+    scans = []
+    component_scans = frustration._component_scans
+
+    def counted(g):
+        scans.append(g)
+        return component_scans(g)
+
+    for mod in (frustration, criticality):
+        monkeypatch.setattr(mod, "_component_scans", counted)
+    entry = catalog.get("g7")
+    verify_planar_critical(entry.graph, entry.rotation, 3)
+    assert len(scans) == 1  # the criticality check; the faces need none
+    scans.clear()
+    verify_planar_critical(entry.graph, entry.rotation, 3,
+                           check_critical=False)
+    assert not scans
+    catalog.verify("g7")
+    assert len(scans) == 3  # one certify call per method
 
 
 def test_answers_are_read_off_the_masks_not_switched_graphs(monkeypatch):

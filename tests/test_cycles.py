@@ -12,7 +12,8 @@ from signforge.cycles import (_cycle_table, _least_family, enumerate_cycles,
                               max_edge_disjoint_negative_cycles,
                               min_negative_cycle_cover, negative_cycle_double_cover,
                               negative_cycles, packing_number)
-from signforge.errors import CycleCapExceeded, PreconditionError
+from signforge.errors import (CycleCapExceeded, GuardExceeded,
+                              PreconditionError)
 from signforge.frustration import frustration_index
 from signforge.constructions import ghat, ghat_planar
 from signforge.structure import find_decompositions
@@ -119,6 +120,22 @@ def test_empty_options_are_refused(lo, hi):
     # in block mode the search would skip the empty option and miss (0, 1, 2)
     with pytest.raises(PreconditionError):
         _least_family([0, 1, 1], 1, 3, lo, hi, 1, [0b110])
+
+
+def _digons(count):
+    return build_graph([(2 * i, 2 * i + 1, sign) for i in range(count)
+                        for sign in "-+"])
+
+
+def test_a_family_search_past_the_recursion_limit_is_a_guard_refusal():
+    # the family search recurses once per pick: a cover or packing of
+    # 1200 digons runs past the interpreter's limit, one of 600 does not
+    g = _digons(600)
+    assert len(min_negative_cycle_cover(g)) == packing_number(g) == 600
+    g = _digons(1200)
+    for search in (min_negative_cycle_cover, packing_number):
+        with pytest.raises(GuardExceeded, match="recursion limit"):
+            search(g)
 
 
 def test_cycle_cap_is_enforced(monkeypatch):

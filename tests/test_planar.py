@@ -1,10 +1,13 @@
+import random
 from collections import Counter
 
 import pytest
 
 from signforge import catalog
-from signforge.core import build_graph
+from signforge.constructions import ghat_planar
+from signforge.core import build_graph, switch
 from signforge.errors import EmbeddingError, TheoremViolation
+from signforge.frustration import frustration_index
 from signforge.planar import (RotationSystem, faces, parse_rot,
                               serialize_rot, validate_rotation,
                               verify_planar_critical)
@@ -64,6 +67,43 @@ def test_verify_planar_critical_on_catalog_entry():
     assert rep.face_count == 6
     assert rep.all_faces_negative and rep.face_count_is_2k
     assert rep.one_negative_edge_per_face and rep.negative_bound_ok
+
+
+def _embeddings():
+    """(label, graph, rotation) for every catalog rotation,
+    ghat_planar(1..6) and two bouquets of loops: three negative loops side
+    by side (4 faces, all negative, but index 3) and two nested negative
+    loops beside a positive one (4 faces = 2 * index, two positive)."""
+    out = [(name, entry.graph, entry.rotation) for name, entry
+           in ((name, catalog.get(name)) for name in catalog.names())
+           if entry.rotation is not None]
+    out += [(f"ghat_planar({t})", *ghat_planar(t)[:2]) for t in range(1, 7)]
+    out.append(("three-negative-loops", build_graph([(0, 0, "-")] * 3),
+                RotationSystem({0: ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0),
+                                    (2, 1))})))
+    out.append(("nested-negative-loops",
+                build_graph([(0, 0, "-"), (0, 0, "-"), (0, 0, "+")]),
+                RotationSystem({0: ((0, 0), (1, 0), (1, 1), (0, 1), (2, 0),
+                                    (2, 1))})))
+    return out
+
+
+@pytest.mark.parametrize("label, g, rot", _embeddings(),
+                         ids=[label for label, _, _ in _embeddings()])
+def test_one_negative_edge_per_face_matches_a_per_face_count(label, g, rot):
+    # the oracle counts each face's edges, with multiplicity, in one
+    # minimum signature; switching moves that signature, not the answer
+    rng = random.Random(label)
+    graphs = [g] + [switch(g, [v for v in g.vertices if rng.random() < 0.5])
+                    for _ in range(3)]
+    for h in graphs:
+        result = frustration_index(h)
+        neg = result.negative_edge_ids
+        once = all(sum(eid in neg for eid in f.edge_ids) == 1
+                   for f in faces(h, rot))
+        report = verify_planar_critical(h, rot, result.index,
+                                        check_critical=False)
+        assert report.one_negative_edge_per_face == once
 
 
 def test_negative_face_bound_violation_raises():

@@ -12,8 +12,9 @@ from signforge.constructions import ghat, ghat_planar, h_join
 from signforge.criticality import is_critical
 from signforge.cycles import negative_cycles
 from signforge import structure
-from signforge.errors import (PreconditionError, SignforgeError,
-                              TheoremViolation, UnknownVertexError)
+from signforge.errors import (GuardExceeded, PreconditionError,
+                              SignforgeError, TheoremViolation,
+                              UnknownVertexError)
 from signforge.frustration import frustration_index, minimum_signature_switch
 from signforge.structure import (_k4_minus_edge_set, check_packing_equality,
                                  find_decompositions,
@@ -223,6 +224,27 @@ def test_k4_minus_witness_follows_the_search_order():
     assert paths(w5) == [
         (["1", "2"], [0]), (["1", "3"], [3, 2, 1]), (["1", "w"], [5]),
         (["2", "3"], [4]), (["2", "w"], [7]), (["3", "w"], [8])]
+
+
+def _k4_with_paths(length):
+    """An all-negative K4 with each edge a path of length edges, its
+    first edge negative."""
+    edges, fresh = [], 4
+    for a, b in combinations(range(4), 2):
+        ends = [a, *range(fresh, fresh + length - 1), b]
+        fresh += length - 1
+        edges += [(u, v, NEG if i == 0 else POS)
+                  for i, (u, v) in enumerate(zip(ends, ends[1:]))]
+    return build_graph(edges)
+
+
+def test_deep_k4_minus_search_is_a_guard_refusal():
+    # the path search recurses once per step: six paths of 200 edges run
+    # past the interpreter's recursion limit, six of 100 do not
+    g = _k4_with_paths(100)
+    assert k4_minus_subdivision_edge_sets(g) == (frozenset(range(g.m)),)
+    with pytest.raises(GuardExceeded, match="recursion limit"):
+        k4_minus_subdivision_edge_sets(_k4_with_paths(200))
 
 
 def test_k4_minus_subdivision_counts_on_larger_graphs():
