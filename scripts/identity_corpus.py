@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Byte-identity digests of the cycle, decomposition, switching, K4- and
-planar/cut answers.
+"""Byte-identity digests of the cycle, decomposition, switching, K4-,
+planar/cut and verification answers.
 
-Rebuilds five fixed corpora of calls and prints, per public function, the
+Rebuilds six fixed corpora of calls and prints, per public function, the
 number of calls and a sha256 over their newline-joined outputs.  Two
 checkouts print the same digests iff every answer (and every error) is
 the same byte for byte, so a change that must not alter outputs can be
@@ -51,6 +51,10 @@ random_signed_graph(Random(s), 7, 12) for s = 0..599, cut(g, x).to_json()
 at a vertex set x drawn from Random(s) (600 calls) and
 equilibrated_cut_for_edge(g, e) (its to_json, or None) for every edge e
 (3,849 calls).
+
+The verification corpus is catalog.verify_all() (one call, the record of
+every entry) and (passed, detail) of acceptance.run_one(n) for each of
+the twelve criteria, its seconds left out (12 calls).
 
 One output line per call: the repr of the answer (a decomposition by
 its to_json), or the type and message of a SignforgeError.  The script
@@ -289,6 +293,20 @@ def planar_calls():
                 lambda g=g, eid=eid: _json(equilibrated_cut_for_edge(g, eid)))
 
 
+def verification_calls():
+    """(function name, thunk) for every call of the verification corpus."""
+    from signforge import catalog
+    from signforge.acceptance import CRITERIA, run_one
+
+    yield "catalog.verify_all", catalog.verify_all
+    def verdict(number):
+        r = run_one(number)
+        return r.passed, r.detail
+
+    for number, _, _ in CRITERIA:
+        yield "run_one", lambda number=number: verdict(number)
+
+
 def _json(value):
     """value.to_json(), None kept."""
     return None if value is None else value.to_json()
@@ -296,7 +314,7 @@ def _json(value):
 
 CORPORA = {"family": family_calls, "decompositions": decomposition_calls,
            "switching": switching_calls, "k4": k4_calls,
-           "planar": planar_calls}
+           "planar": planar_calls, "verification": verification_calls}
 
 
 def digests(calls) -> dict:

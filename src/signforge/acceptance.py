@@ -12,20 +12,19 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from . import catalog
 from .constructions import ghat, ghat_planar, h_join
-from .core import (NEG, POS, Cycle, SignedGraph, build_graph, canonical_form,
-                   cut, cycle_sign, switch, validate_cycle)
-from .criticality import METHODS, is_critical
+from .core import (NEG, POS, SignedGraph, build_graph, canonical_form, cut,
+                   cycle_sign, switch)
+from .criticality import _certificates, certify, is_critical
 from .cycles import (is_double_cover, max_edge_disjoint_negative_cycles,
                      negative_cycle_double_cover, negative_cycles)
 from .enumeration import EnumBounds, enumerate_critical
-from .errors import EmbeddingError, NotACycleError
+from .errors import EmbeddingError
 from .frustration import (frustration_by_cover, frustration_index,
                           minimum_signature_switch)
-from .planar import dart_vertex, faces
+from .planar import faces
 from .structure import (check_packing_equality, find_decompositions,
                         is_decomposable, is_irreducible, subdivide)
 
@@ -57,20 +56,6 @@ def random_signed_graph(rng: random.Random, max_n: int,
     used = {u for u, v, _ in edges} | {v for _, v, _ in edges}
     remap = {v: i for i, v in enumerate(sorted(used))}
     return build_graph([(remap[u], remap[v], s) for u, v, s in edges])
-
-
-def _face_cycles(g: SignedGraph, rot) -> Optional[tuple]:
-    """Facial walks as Cycle values, or None if some walk is not simple."""
-    out = []
-    for f in faces(g, rot):
-        vseq = tuple(dart_vertex(g, d) for d in f.darts)
-        c = Cycle(f.edge_ids, vseq + (vseq[0],))
-        try:
-            validate_cycle(g, c)
-        except NotACycleError:
-            return None
-        out.append(c)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------- criteria
@@ -106,13 +91,13 @@ def crit_3_three_methods() -> tuple:
     bad = []
     for name in catalog.names():
         g = catalog.get(name).graph
-        votes = {m: is_critical(g, method=m) for m in METHODS}
+        votes = {c.method: c.critical for c in _certificates(g)}
         if len(set(votes.values())) != 1:
             bad.append(f"{name}: {votes}")
     rng = random.Random(20260902)
     for i in range(200):
         g = random_signed_graph(rng, 6, 10)
-        votes = {m: is_critical(g, method=m) for m in METHODS}
+        votes = {c.method: c.critical for c in _certificates(g)}
         if len(set(votes.values())) != 1:
             bad.append(f"random#{i}: {votes}")
     return not bad, "; ".join(bad) or "catalog + 200 random agree"
@@ -232,6 +217,21 @@ def crit_9_packing_equality() -> tuple:
     return True, "300 subdivision-free instances equal"
 
 
+def _double_cover_witness(g: SignedGraph, rot, k: int) -> tuple:
+    """(source, family) for a double cover of order 2k: the faces when all
+    2k are negative cycles, else the first decomposition into k negative
+    cycles taken twice, else the lex-least search's answer (or None)."""
+    table = {c.edge_set: c for c in negative_cycles(g)}
+    fc = [table.get(frozenset(f.edge_ids)) for f in faces(g, rot)]
+    if len(fc) == 2 * k and None not in fc:
+        return "facial", fc
+    for d in find_decompositions(g, k):
+        if d.kind == (1,) * k:
+            return "doubled decomposition", [table[es] for es, _ in
+                                             d.parts] * 2
+    return "searched", negative_cycle_double_cover(g, k)
+
+
 def crit_10_double_covers() -> tuple:
     bad = []
     for name in catalog.names():
@@ -242,14 +242,11 @@ def crit_10_double_covers() -> tuple:
         k = frustration_index(g).index
         if k not in (2, 3):
             continue
-        if negative_cycle_double_cover(g, k) is None:
+        source, family = _double_cover_witness(g, entry.rotation, k)
+        if family is None:
             bad.append(f"{name}: no double cover of order {2 * k}")
-            continue
-        fc = _face_cycles(g, entry.rotation)
-        if fc is not None and len(fc) == 2 * k and all(
-                cycle_sign(g, c) == NEG for c in fc):
-            if not is_double_cover(g, fc):
-                bad.append(f"{name}: facial family rejected")
+        elif not is_double_cover(g, family):
+            bad.append(f"{name}: {source} family rejected")
     return not bad, "; ".join(bad) or "all planar entries covered; facial "\
                                       "witnesses accepted"
 
@@ -272,9 +269,7 @@ def crit_11_degree_bound() -> tuple:
             pack = max_edge_disjoint_negative_cycles(g)
             union = frozenset().union(*(c.edge_set for c in pack)) \
                 if pack else frozenset()
-            through = all(
-                any(v in (g.edges[eid].u, g.edges[eid].v)
-                    for eid in c.edge_ids) for c in pack)
+            through = all(v in c.vertex_seq for c in pack)
             if not (len(pack) == k and union == frozenset(range(g.m))
                     and through):
                 bad.append(f"{name}: degree-equality structure missing")
@@ -303,7 +298,8 @@ def crit_12_invariants() -> tuple:
                                          - c.neg_count + c.pos_count):
             bad.append(f"cut-shift#{i}")
         # deleting one edge drops the index by at most one
-        ell = frustration_index(g).index
+        cert = certify(g)  # the index and its criticality, one walk
+        ell = cert.k
         eid = rng.randrange(g.m)
         sub = frustration_index(g.delete_edges([eid])).index
         if not (ell - 1 <= sub <= ell):
@@ -315,10 +311,10 @@ def crit_12_invariants() -> tuple:
             p = sorted(mono, key=lambda q: sorted(map(str, q)))[
                 rng.randrange(len(mono))]
             vs = tuple(p) if len(p) == 2 else (next(iter(p)),) * 2
-            g2 = subdivide(g, *vs)
-            if frustration_index(g2).index != ell:
+            cert2 = certify(subdivide(g, *vs))
+            if cert2.k != ell:
                 bad.append(f"subdivision-ell#{i}")
-            elif is_critical(g, ell) != is_critical(g2, ell):
+            elif cert.critical != cert2.critical:
                 bad.append(f"subdivision-critical#{i}")
     return not bad, "; ".join(bad[:5]) or f"{cases} cases x 6 invariants"
 

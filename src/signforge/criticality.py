@@ -170,6 +170,24 @@ _CERTIFIERS = {"deletion": _certify_deletion,
 METHODS = tuple(_CERTIFIERS)
 
 
+def _certificates(g: SignedGraph, k: Optional[int] = None,
+                  methods: tuple = METHODS) -> list:
+    """`certify`'s certificate for each of methods, all read off one
+    switching walk: its index and its minimizers' negative-edge masks."""
+    scans = _component_scans(g)
+    index = sum(s[1] for s in scans)
+    if k is None:
+        k = index
+    out = []
+    for method in methods:
+        if index != k or k == 0:
+            critical, details = False, {"frustration_index": index}
+        else:
+            critical, details = _CERTIFIERS[method](g, k, scans)
+        out.append(CriticalityCertificate(critical, k, method, details))
+    return out
+
+
 def certify(g: SignedGraph, k: Optional[int] = None,
             method: str = "deletion") -> CriticalityCertificate:
     """Certificate that g is (or is not) critically k-frustrated.
@@ -180,18 +198,7 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     """
     if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}; use one of {METHODS}")
-    # one scan per part gives the index, and its minimizers'
-    # negative-edge masks give every ℓ(G-e), every minimum signature, or
-    # the lex-least minimum signature
-    scans = _component_scans(g)
-    index = sum(s[1] for s in scans)
-    if k is None:
-        k = index
-    if index != k or k == 0:
-        return CriticalityCertificate(
-            False, k, method, {"frustration_index": index})
-    critical, details = _CERTIFIERS[method](g, k, scans)
-    return CriticalityCertificate(critical, k, method, details)
+    return _certificates(g, k, (method,))[0]
 
 
 def is_critical(g: SignedGraph, k: Optional[int] = None,

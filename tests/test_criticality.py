@@ -296,7 +296,10 @@ def test_one_scan_per_planar_report_and_catalog_check(monkeypatch):
                            check_critical=False)
     assert not scans
     catalog.verify("g7")
-    assert len(scans) == 3  # one certify call per method
+    assert len(scans) == 1  # the index and all three verdicts
+    scans.clear()
+    catalog.verify_all()
+    assert len(scans) == len(catalog.names())
 
 
 def test_answers_are_read_off_the_masks_not_switched_graphs(monkeypatch):
