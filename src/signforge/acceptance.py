@@ -51,8 +51,6 @@ def random_signed_graph(rng: random.Random, max_n: int,
         if u == v and sign == POS:
             sign = NEG  # positive loops are inert; keep instances meaningful
         edges.append((u, v, sign))
-    if not edges:
-        edges = [(0, 0, NEG)]
     used = {u for u, v, _ in edges} | {v for _, v, _ in edges}
     remap = {v: i for i, v in enumerate(sorted(used))}
     return build_graph([(remap[u], remap[v], s) for u, v, s in edges])

@@ -89,10 +89,10 @@ def verify_record(name: str, g: SignedGraph,
     got["critical"] = all(c.critical for c in certs)
     got["irreducible"] = is_irreducible(g)
     got["decomposable"] = is_decomposable(g, k)
-    if got["critical"] and got["irreducible"]:
-        got["in_s_star"] = not has_two_edge_disjoint_negative_cycles(g)
-    else:
-        got["in_s_star"] = False
+    # each part holds a negative cycle: a partition is a packing of two
+    got["in_s_star"] = (got["critical"] and got["irreducible"]
+                        and not got["decomposable"]
+                        and not has_two_edge_disjoint_negative_cycles(g))
 
     if rotation is not None:
         report = verify_planar_critical(g, rotation, k,

@@ -30,7 +30,6 @@ from typing import Optional
 from . import guards
 from .core import NEG, Cycle, SignedGraph, cycle_sign
 from .errors import CycleCapExceeded, PreconditionError
-from .frustration import frustration_index
 
 
 def enumerate_cycles(g: SignedGraph, negative_only: bool = False) -> tuple:
@@ -293,11 +292,13 @@ def negative_cycle_double_cover(g: SignedGraph, k: int,
     least (cycles compared by sorted edge-id tuple), or None if no such
     cover exists: the family search over the negative cycles with every
     edge of g hit exactly twice, so an edge on no negative cycle gives
-    None.  Requires k to be the frustration index of g.
+    None.  k must be >= 0 but need not be the frustration index ℓ.  None
+    exists for k > ℓ: every negative cycle meets a minimum signature N an
+    odd number of times and every edge of N lies in two members, so
+    2k <= 2ℓ.  So a family found at k = ℓ certifies the index from below.
     """
-    if frustration_index(g).index != k:
-        raise PreconditionError(
-            f"k={k} is not the frustration index of the graph")
+    if k < 0:
+        raise PreconditionError(f"k={k} is negative")
     walks, masks, through = _cycle_table(g)
     found = _least_family(masks, (1 << g.m) - 1, 2 * k, 2, 2,
                           1 if distinct_only else 2, through)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from . import guards
 from .core import SignedGraph, _ids, switch
+from .cycles import min_negative_cycle_cover
 
 
 @dataclass(frozen=True)
@@ -201,5 +202,4 @@ def frustration_by_cover(g: SignedGraph) -> int:
     Equals the frustration index (a minimum signature is a cover, and a
     minimal cover is the negative set of some minimum signature).
     """
-    from .cycles import min_negative_cycle_cover
     return len(min_negative_cycle_cover(g))

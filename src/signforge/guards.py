@@ -3,9 +3,9 @@
 The exact searches check explicit size bounds, except two (ROADMAP item
 5): the K4- enumeration, `structure.k4_minus_subdivision_edge_sets`,
 whose search also draws the decomposition search's index-2 parts, and
-`cycles.negative_cycle_double_cover`, which has only the cycle cap and
-the switching scan's guard.  Setting SIGNFORGE_GUARD_OVERRIDE=1 in the
-environment unlocks all guards (a warning is emitted once per process).
+`cycles.negative_cycle_double_cover`, which has only the cycle cap (the
+switching guard never bounded it).  Setting SIGNFORGE_GUARD_OVERRIDE=1 in
+the environment unlocks all guards (a warning is emitted once per process).
 The recursive searches (the cycle walk, the family search, the
 decomposition recursion and the K4- path search) also refuse an input
 that runs past the interpreter's recursion limit, which no override

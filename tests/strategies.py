@@ -1,8 +1,12 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and graph builders shared by the test modules."""
 
 from hypothesis import strategies as st
 
 from signforge.core import NEG, POS, build_graph
+
+
+def k4_all_negative():
+    return build_graph([(u, v, "-") for u in range(4) for v in range(u)])
 
 
 @st.composite

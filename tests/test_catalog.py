@@ -12,6 +12,19 @@ def test_verify_all_passes():
     assert set(records) == set(catalog.names())
 
 
+def test_only_non_decomposable_entries_search_for_a_packing(monkeypatch):
+    searched = []
+    packing = catalog.has_two_edge_disjoint_negative_cycles
+    monkeypatch.setattr(catalog, "has_two_edge_disjoint_negative_cycles",
+                        lambda g: searched.append(g) or packing(g))
+    records = catalog.verify_all()
+    assert len(searched) == sum(
+        rec["critical"] and rec["irreducible"] and not rec["decomposable"]
+        for rec in records.values())
+    assert len(searched) < sum(
+        rec["critical"] and rec["irreducible"] for rec in records.values())
+
+
 def test_tag_census():
     assert catalog.entries_with_tag("L1") == ("c-minus-1",)
     assert set(catalog.entries_with_tag("L2")) == {

@@ -15,9 +15,7 @@ from signforge.frustration import frustration_index
 from signforge.planar import faces, verify_planar_critical
 from signforge.structure import is_decomposable, is_irreducible
 
-
-def k4_all_negative():
-    return build_graph([(u, v, "-") for u in range(4) for v in range(u)])
+from strategies import k4_all_negative
 
 
 @pytest.mark.parametrize("t", range(5))

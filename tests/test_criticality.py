@@ -15,12 +15,8 @@ from signforge.frustration import (all_minimum_signatures, frustration_index,
 from signforge.planar import verify_planar_critical
 from signforge.structure import in_s_star
 
-from strategies import signed_graphs
+from strategies import k4_all_negative, signed_graphs
 from test_frustration import brute_force_index
-
-
-def k4_all_negative():
-    return build_graph([(u, v, "-") for u in range(4) for v in range(u)])
 
 
 def test_negative_cycle_is_critically_1():

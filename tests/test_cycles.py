@@ -1,4 +1,5 @@
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from signforge.core import Cycle, NEG, build_graph, validate_cycle
 from signforge import catalog
+from signforge.acceptance import random_signed_graph
 from signforge.cycles import (_cycle_table, _least_family, enumerate_cycles,
                               has_two_edge_disjoint_negative_cycles,
                               is_double_cover, is_leq2_cover,
@@ -17,11 +19,7 @@ from signforge.errors import (CycleCapExceeded, GuardExceeded,
 from signforge.frustration import frustration_index
 from signforge.constructions import ghat, ghat_planar
 from signforge.structure import find_decompositions
-from strategies import signed_graphs
-
-
-def k4_all_negative():
-    return build_graph([(u, v, "-") for u in range(4) for v in range(u)])
+from strategies import k4_all_negative, signed_graphs
 
 
 def test_k4_cycle_census():
@@ -80,10 +78,29 @@ def test_double_cover_k4():
     assert is_leq2_cover(g, dc)
 
 
-def test_double_cover_checks_index_precondition():
-    g = k4_all_negative()
+def test_no_double_cover_above_the_index():
+    # a minimum signature meets every member an odd number of times, so
+    # 2k <= 2 * index: the family search agrees with the switching scan
+    graphs = [catalog.get(name).graph for name in catalog.names()]
+    graphs = [g for g in graphs if g.m <= 16]
+    graphs += [random_signed_graph(Random(s), 7, 11) for s in range(300)]
+    for g in graphs:
+        k = frustration_index(g).index + 1
+        assert negative_cycle_double_cover(g, k) is None
+
+
+def test_double_cover_runs_past_the_switching_guard():
+    g = build_graph([(i, (i + 1) % 30, "-" if i == 0 else "+")
+                     for i in range(30)])
+    with pytest.raises(GuardExceeded):
+        frustration_index(g)
+    dc = negative_cycle_double_cover(g, 1)
+    assert [c.edge_ids for c in dc] == [tuple(range(30))] * 2
+
+
+def test_double_cover_rejects_a_negative_k():
     with pytest.raises(PreconditionError):
-        negative_cycle_double_cover(g, 3)
+        negative_cycle_double_cover(k4_all_negative(), -1)
 
 
 def test_single_loop_needs_a_repeated_cycle():

@@ -1,12 +1,15 @@
-"""Every import in the package, the tests and the scripts is used, and
-every private module-level name of the package is read.
+"""Every import in the package, the tests and the scripts is used, every
+private module-level name of the package is read, and the package's
+modules import each other in layers.
 
 Stdlib `ast` checks.  A name an import binds must be read somewhere in
 its module; package `__init__` modules are skipped, as their imports are
 the package's exports.  A private (`_`-prefixed, not dunder) name that a
 package module defines at module level must be read, as a name or an
 attribute, by some other module-level statement of the package, so a
-helper a cleanup leaves without callers fails here.
+helper a cleanup leaves without callers fails here.  No function body of
+the package imports, and the graph of its modules' relative imports
+(`from .x import` and `from . import x`) has no cycle.
 """
 
 import ast
@@ -96,3 +99,79 @@ def test_no_unread_private_names():
                  str(path.relative_to(ROOT)): path.read_text()
                  for path in sorted(package.rglob("*.py"))})]
     assert not found, "private names no module reads:\n" + "\n".join(found)
+
+
+def function_imports(source: str) -> list:
+    """Lines of the import statements inside a function body."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def import_cycle(sources: dict) -> list:
+    """A cycle, as [a, b, ..., a], in the graph of the relative imports
+    that sources (module name -> source text) make outside function
+    bodies, or [] if there is none."""
+    def outside_functions(node):
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from outside_functions(child)
+
+    graph = {}
+    for module, source in sources.items():
+        graph[module] = [
+            name for node in outside_functions(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for name in ([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+            if name in sources]
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for target in graph[module]:
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_function_imports_are_caught():
+    assert function_imports("import os\ndef f():\n    from .a import b\n"
+                            "    return b\nclass C:\n    def g(self):\n"
+                            "        import sys\n") == [3, 7]
+
+
+def test_import_cycles_are_caught():
+    sources = {"a": "from .b import x\n", "b": "from . import c, os\n",
+               "c": "def f():\n    from .a import y\n"}
+    assert import_cycle(sources) == []
+    sources["c"] = "from .a.d import y\n"
+    assert import_cycle(sources) == ["a", "b", "c", "a"]
+
+
+def test_package_modules_import_in_layers():
+    package = ROOT / "src/signforge"
+    sources = {path.stem: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    found = [f"src/signforge/{module}.py:{line}"
+             for module, source in sources.items()
+             for line in function_imports(source)]
+    assert not found, "imports inside functions:\n" + "\n".join(found)
+    cycle = import_cycle(sources)
+    assert not cycle, "import cycle: " + " -> ".join(cycle)

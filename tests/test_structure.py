@@ -24,11 +24,7 @@ from signforge.structure import (_k4_minus_edge_set, check_packing_equality,
                                  reduce_to_irreducible, subdivide, suppress,
                                  suppressible_vertices)
 
-from strategies import part_unions, signed_graphs
-
-
-def k4_all_negative():
-    return build_graph([(u, v, "-") for u in range(4) for v in range(u)])
+from strategies import k4_all_negative, part_unions, signed_graphs
 
 
 def is_k4_minus_edge_set(g, es):
