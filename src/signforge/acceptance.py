@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import catalog
 from .constructions import ghat, ghat_planar, h_join
-from .core import (NEG, POS, SignedGraph, build_graph, canonical_form, cut,
-                   cycle_sign, switch)
+from .core import (NEG, POS, Cycle, SignedGraph, build_graph, canonical_form,
+                   cut, cycle_sign, switch)
 from .criticality import _certificates, certify, is_critical
 from .cycles import (is_double_cover, max_edge_disjoint_negative_cycles,
                      negative_cycle_double_cover, negative_cycles)
@@ -24,9 +24,9 @@ from .enumeration import EnumBounds, enumerate_critical
 from .errors import EmbeddingError
 from .frustration import (frustration_by_cover, frustration_index,
                           minimum_signature_switch)
-from .planar import faces
-from .structure import (check_packing_equality, find_decompositions,
-                        is_decomposable, is_irreducible, subdivide)
+from .planar import dart_vertex, faces
+from .structure import (check_packing_equality, is_decomposable,
+                        is_irreducible, subdivide)
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,21 @@ def crit_7_join() -> tuple:
     return not bad, detail if not bad else "; ".join(bad)
 
 
+def _cycle_split(g: SignedGraph, k: int) -> tuple:
+    """k negative cycles that split the edges of g, or (): the lex-least k
+    edge-disjoint ones, kept when they hold all m edges.  If g is
+    critically k-frustrated, any k such cycles hold every edge: deleting
+    one off them would leave all k, so the index would not drop."""
+    pack = max_edge_disjoint_negative_cycles(g, k)
+    return pack if len(pack) == k and sum(map(len, pack)) == g.m else ()
+
+
 def crit_8_ladder() -> tuple:
     bad = []
     for t in range(5):
         g = ghat(t)
-        ok = is_critical(g, 3) and is_irreducible(g)
-        ok = ok and any(d.kind == (1, 1, 1)
-                        for d in find_decompositions(g, 3))
-        if not ok:
+        if not (is_critical(g, 3) and is_irreducible(g)
+                and _cycle_split(g, 3)):
             bad.append(f"ghat({t})")
     for t in range(1, 4):
         g, rot, cuts = ghat_planar(t)
@@ -216,17 +223,19 @@ def crit_9_packing_equality() -> tuple:
 
 
 def _double_cover_witness(g: SignedGraph, rot, k: int) -> tuple:
-    """(source, family) for a double cover of order 2k: the faces when all
-    2k are negative cycles, else the first decomposition into k negative
-    cycles taken twice, else the lex-least search's answer (or None)."""
-    table = {c.edge_set: c for c in negative_cycles(g)}
-    fc = [table.get(frozenset(f.edge_ids)) for f in faces(g, rot)]
-    if len(fc) == 2 * k and None not in fc:
+    """(source, family) for a double cover of order 2k: the faces, each
+    traced by its own darts, when all 2k are negative cycles; else k
+    negative cycles that split the edges (`_cycle_split`) taken twice;
+    else the lex-least search's answer (or None)."""
+    fs = faces(g, rot)
+    fc = [Cycle(f.edge_ids, vs + vs[:1]) for f in fs
+          for vs in (tuple(dart_vertex(g, d) for d in f.darts),)
+          if len(set(vs)) == len(f) and f.sign(g) == NEG]
+    if len(fs) == len(fc) == 2 * k:
         return "facial", fc
-    for d in find_decompositions(g, k):
-        if d.kind == (1,) * k:
-            return "doubled decomposition", [table[es] for es, _ in
-                                             d.parts] * 2
+    split = _cycle_split(g, k)
+    if split:
+        return "doubled decomposition", split * 2
     return "searched", negative_cycle_double_cover(g, k)
 
 
@@ -264,12 +273,8 @@ def crit_11_degree_bound() -> tuple:
             # equality must mean: k edge-disjoint negative cycles through
             # one common vertex, covering every edge
             v = max(g.vertices, key=g.degree)
-            pack = max_edge_disjoint_negative_cycles(g)
-            union = frozenset().union(*(c.edge_set for c in pack)) \
-                if pack else frozenset()
-            through = all(v in c.vertex_seq for c in pack)
-            if not (len(pack) == k and union == frozenset(range(g.m))
-                    and through):
+            pack = _cycle_split(g, k)
+            if not (pack and all(v in c.vertex_seq for c in pack)):
                 bad.append(f"{name}: degree-equality structure missing")
     return not bad, "; ".join(bad) or "bound holds on all critical entries"
 

@@ -140,7 +140,7 @@ def _cmd_construct(args) -> int:
     t = args.t
     if args.planar:
         g, rot, cuts = ghat_planar(t)
-        base = args.out or f"ladder-planar-{t}"
+        base = (args.out or f"ladder-planar-{t}").removesuffix(".sg")
         pathlib.Path(f"{base}.sg").write_text(serialize_sg(g))
         pathlib.Path(f"{base}.rot").write_text(serialize_rot(g, rot))
         _emit(args, {"command": "construct", "kind": "ladder-planar",

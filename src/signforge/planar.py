@@ -76,7 +76,8 @@ class FaceWalk:
 
 
 def faces(g: SignedGraph, rot: RotationSystem, planar: bool = True) -> tuple:
-    """All facial walks of the embedding, each starting at its least dart.
+    """All facial walks of the embedding, each from its least dart, in the
+    order of those darts: one pass over the darts in ascending order.
 
     With planar=True (the default: shipped rotations claim planarity) the
     Euler count n - m + f = 2 is enforced for connected graphs.
@@ -89,19 +90,15 @@ def faces(g: SignedGraph, rot: RotationSystem, planar: bool = True) -> tuple:
         twin = (d[0], 1 - d[1])
         return rot.successor(dart_vertex(g, twin), twin)
 
-    remaining = {(e.eid, end) for e in g.edges for end in (0, 1)}
-    out = []
-    while remaining:
-        start = min(remaining)
-        walk = [start]
-        remaining.discard(start)
-        d = next_dart(start)
-        while d != start:
-            walk.append(d)
-            remaining.discard(d)
-            d = next_dart(d)
-        out.append(FaceWalk(tuple(walk)))
-    out.sort(key=lambda f: f.darts)
+    out, on_face = [], set()
+    for start in ((eid, end) for eid in range(g.m) for end in (0, 1)):
+        if start not in on_face:
+            walk, d = [start], next_dart(start)
+            while d != start:
+                walk.append(d)
+                d = next_dart(d)
+            on_face.update(walk)
+            out.append(FaceWalk(tuple(walk)))
     if planar and g.is_connected and g.n - g.m + len(out) != 2:
         raise EmbeddingError(
             f"Euler violation: {g.n} - {g.m} + {len(out)} != 2")

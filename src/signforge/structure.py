@@ -551,14 +551,14 @@ def _critical_part(g: SignedGraph, part: int, lo: int, hi: int) -> int:
     0.  One `certify` scan gives both the index and the verdict."""
     sub = g.restrict(_ids(part))
     cert = certify(sub)
-    return cert.k if lo <= cert.k <= hi and cert.critical and not any(
-        True for _ in _decomposition_stream(sub, cert.k)) else 0
+    return cert.k if (lo <= cert.k <= hi and cert.critical
+                      and not is_decomposable(sub, cert.k)) else 0
 
 
 def _large_parts(g: SignedGraph, edges: int, top: int, cycles: list) -> list:
     """Non-decomposable critical parts of index 3..top inside the edge mask
-    edges, by subset search, as (edge mask, index) pairs sorted by (index,
-    edge ids).  cycles lists the edge masks of the negative cycles of g."""
+    edges, by subset search, as (edge mask, index) pairs in ascending mask
+    order.  cycles lists the edge masks of the negative cycles of g."""
     guards.check(edges.bit_count(), guards.PARTITION_SEARCH_MAX_EDGES,
                  "partition search")
     inside = [c for c in cycles if not c & ~edges]
@@ -575,7 +575,7 @@ def _large_parts(g: SignedGraph, edges: int, top: int, cycles: list) -> list:
             if j:
                 out.append((s, j))
         s = (s - edges) & edges
-    return sorted(out, key=lambda p: (p[1], _ids(p[0])))
+    return out
 
 
 def _families(members: list, room: int, start: int = 0, used: int = 0,
@@ -602,12 +602,11 @@ class _Stream:
     cycles, in its one order, and known the set of the masks.  rest
     masks the non-loop edges and budget is the index they share; odd4
     says whether rest has exactly four odd-degree vertices.  sources
-    memoizes `source` and edge_sets the sorted edge ids and the edge set
-    of each part emitted, so partitions share their parts.
+    memoizes `source`.
     """
 
     __slots__ = ("g", "walks", "masks", "through", "known", "rest",
-                 "budget", "odd4", "sources", "edge_sets")
+                 "budget", "odd4", "sources")
 
     def __init__(self, g: SignedGraph, budget: int):
         self.g = g
@@ -618,7 +617,6 @@ class _Stream:
         self.odd4 = sum(mask.bit_count() & 1
                         for mask in g.incidence_masks.values()) == 4
         self.sources: dict = {}
-        self.edge_sets: dict = {}
 
     def source(self, j: int) -> list:
         """The (edge mask, j) parts of index j that avoid the lowest edge
@@ -639,20 +637,6 @@ class _Stream:
                     self.sources[i] = [p for p in large if p[1] == i]
         return self.sources[j]
 
-    def decomposition(self, parts: tuple) -> tuple:
-        """(`find_decompositions`' sort key, the partition) for the (edge
-        mask, index) pairs of parts, its parts sorted by (index, edge ids);
-        both orders read the one sorted id tuple kept per mask."""
-        memo = self.edge_sets
-        for es, _ in parts:
-            if es not in memo:
-                ids = tuple(_ids(es))
-                memo[es] = ids, frozenset(ids)
-        # disjoint parts: their id tuples differ, so no tie is left
-        named = sorted((j, *memo[es]) for es, j in parts)
-        d = Decomposition(tuple((es, j) for j, _, es in named))
-        return (d.kind, tuple(sorted(ids for _, ids, _ in named))), d
-
 
 def _search(s: _Stream, remaining: int, budget: int, dead: int,
             parts: tuple) -> Iterator:
@@ -665,14 +649,14 @@ def _search(s: _Stream, remaining: int, budget: int, dead: int,
     """
     if not remaining:
         if budget == 0 and len(parts) >= 2:
-            yield s.decomposition(parts)
+            yield parts
         return
     if budget <= 0:
         return
     if budget == 1:
         # the one part left is a negative cycle: remaining itself
         if parts and remaining in s.known:
-            yield s.decomposition(parts + ((remaining, 1),))
+            yield parts + ((remaining, 1),)
         return
     low = remaining & -remaining
     through, g = s.through, s.g
@@ -693,7 +677,7 @@ def _search(s: _Stream, remaining: int, budget: int, dead: int,
     # vertices of rest, and a K4- has four
     if budget == 2:
         if parts and s.odd4 and _k4_minus_edge_set(g, remaining):
-            yield s.decomposition(parts + ((remaining, 2),))
+            yield parts + ((remaining, 2),)
         return
     avail = remaining ^ low
     members = [p for j in range(1, budget - 1) for p in s.source(j)
@@ -708,15 +692,15 @@ def _search(s: _Stream, remaining: int, budget: int, dead: int,
             found = ((s.odd4 or total > len(family))
                      and _k4_minus_edge_set(g, last))
         if found:
-            yield s.decomposition(parts + family + ((last, j),))
+            yield parts + family + ((last, j),)
 
 
 def _decomposition_stream(g: SignedGraph, k: Optional[int]) -> Iterator:
     """All partitions into non-decomposable critical parts (t >= 2 parts),
-    each once, as (sort key, Decomposition) pairs (`_Stream.decomposition`);
-    k defaults to the frustration index.  A minimum cover meets each part
-    in a cover of it, so the part indices of a partition sum to at most
-    the index, and so to at most the number of negative edges."""
+    each once, as tuples of (edge mask, index) pairs; k defaults to the
+    frustration index.  A minimum cover meets each part in a cover of it,
+    so the part indices of a partition sum to at most the index, and so
+    to at most the number of negative edges."""
     if k is None:
         k = frustration_index(g).index
     if not 2 <= k <= g.negative_mask.bit_count():
@@ -735,10 +719,22 @@ def _decomposition_stream(g: SignedGraph, k: Optional[int]) -> Iterator:
 def find_decompositions(g: SignedGraph, k: Optional[int] = None) -> tuple:
     """All partitions of the edges into non-decomposable critical parts.
 
-    k defaults to the frustration index.
+    k defaults to the frustration index.  The partitions come by kind,
+    then by their parts' sorted edge-id tuples; parts by (index, edge ids).
     """
-    return tuple(d for _, d in sorted(_decomposition_stream(g, k),
-                                      key=itemgetter(0)))
+    memo: dict = {}  # per part mask: its sorted edge ids and edge set
+    found = []
+    for parts in _decomposition_stream(g, k):
+        for es, _ in parts:
+            if es not in memo:
+                ids = tuple(_ids(es))
+                memo[es] = ids, frozenset(ids)
+        # disjoint parts: their id tuples differ, so no tie is left
+        named = sorted((j, *memo[es]) for es, j in parts)
+        d = Decomposition(tuple((es, j) for j, _, es in named))
+        found.append(((d.kind, tuple(sorted(ids for _, ids, _ in named))), d))
+    found.sort(key=itemgetter(0))
+    return tuple(d for _, d in found)
 
 
 def is_decomposable(g: SignedGraph, k: Optional[int] = None) -> bool:

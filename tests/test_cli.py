@@ -114,10 +114,13 @@ def test_construct_ladder_round_trip(tmp_path, capsys):
     assert "ell=3" in capsys.readouterr().out
 
 
-def test_construct_planar_ladder_and_faces(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["lp1", "lp1.sg"])
+def test_construct_planar_ladder_and_faces(tmp_path, capsys, name):
     out = tmp_path / "lp1"
-    assert run(["construct", "ladder", "1", "--planar", "-o", str(out)]) == 0
+    assert run(["construct", "ladder", "1", "--planar", "-o",
+                str(tmp_path / name)]) == 0
     capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lp1.rot", "lp1.sg"]
     assert run(["faces", str(out) + ".sg", str(out) + ".rot",
                 "--k", "3"]) == 0
     report = capsys.readouterr().out

@@ -39,6 +39,15 @@ def test_every_edge_side_appears_exactly_twice():
         assert all(c == 2 for c in counts.values())
 
 
+def test_faces_start_at_their_least_darts_in_ascending_order():
+    for name in catalog.names():
+        entry = catalog.get(name)
+        if entry.rotation is not None:
+            fs = faces(entry.graph, entry.rotation)
+            least = [min(f.darts) for f in fs]
+            assert [f.darts[0] for f in fs] == least == sorted(least)
+
+
 def test_euler_formula_enforced():
     # a rotation of K5 cannot be planar: face traversal violates Euler's formula
     g = build_graph([(u, v, "-") for u in range(5) for v in range(u)])

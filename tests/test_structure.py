@@ -717,6 +717,17 @@ def test_parity_skips_the_k4_minus_tests_it_rules_out(monkeypatch):
     assert calls
 
 
+def test_the_verdict_builds_no_decomposition(monkeypatch):
+    # only find_decompositions turns the search's edge masks into values;
+    # the loop beside k5-minus makes its index-3 part a `_critical_part`
+    def refuse(*args):
+        raise AssertionError("Decomposition built")
+
+    monkeypatch.setattr(structure, "Decomposition", refuse)
+    assert is_decomposable(ghat(2))
+    assert is_decomposable(_disjoint_union(_K5_MINUS, _LOOP), 4)
+
+
 def test_positive_loop_blocks_decomposition_at_every_k():
     # a positive loop lies on no negative cycle, so in no critical part
     g = build_graph(_K4 + [(4, 4, "-"), (5, 5, "-"), (5, 5, "+")])
