@@ -42,11 +42,10 @@ calls: find_k4_minus_subdivision(g) (its to_json, or None) and
 k4_minus_subdivision_edge_sets(g) (as sorted edge-id lists) (1,535
 calls per function).
 
-The planar corpus is verify_planar_critical(h, rot, k).to_json() with
-check_critical True and False, k the frustration index, for h each
-catalog entry with a rotation and ghat_planar(1..6), and three
-switchings of each at vertex sets drawn from Random(i), i the graph's
-position (80 calls per function); then, on
+The planar corpus is verify_planar_critical(h, rot, k).to_json(), k the
+frustration index, for h each catalog entry with a rotation and
+ghat_planar(1..6), and three switchings of each at vertex sets drawn
+from Random(i), i the graph's position (80 calls); then, on
 random_signed_graph(Random(s), 7, 12) for s = 0..599, cut(g, x).to_json()
 at a vertex set x drawn from Random(s) (600 calls) and
 equilibrated_cut_for_edge(g, e) (its to_json, or None) for every edge e
@@ -279,10 +278,9 @@ def planar_calls():
         for h in [g] + [switch(g, [v for v in g.vertices
                                    if rng.random() < 0.5]) for _ in range(3)]:
             k = frustration_index(h).index
-            for check in (True, False):
-                yield f"verify_planar_critical(check_critical={check})", (
-                    lambda h=h, rot=rot, k=k, check=check:
-                    verify_planar_critical(h, rot, k, check).to_json())
+            yield "verify_planar_critical", (
+                lambda h=h, rot=rot, k=k:
+                verify_planar_critical(h, rot, k).to_json())
     for s in range(600):
         rng = random.Random(s)
         g = random_signed_graph(rng, 7, 12)

@@ -95,8 +95,7 @@ def verify_record(name: str, g: SignedGraph,
                         and not has_two_edge_disjoint_negative_cycles(g))
 
     if rotation is not None:
-        report = verify_planar_critical(g, rotation, k,
-                                        check_critical=False)
+        report = verify_planar_critical(g, rotation, k)
         pexp = exp.get("planar_face_profile", {})
         profile = {
             "faces": report.face_count,

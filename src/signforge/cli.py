@@ -17,10 +17,10 @@ from . import catalog as catalog_mod
 from .acceptance import CRITERIA, run_all, run_one
 from .constructions import ghat, ghat_planar, h_join
 from .core import SignedGraph, parse_sg, serialize_sg
-from .criticality import METHODS, certify
+from .criticality import METHODS, certify, is_critical
 from .cycles import cycleset_to_json, max_edge_disjoint_negative_cycles
 from .enumeration import EnumBounds, enumerate_critical
-from .errors import GuardExceeded, SignforgeError
+from .errors import GuardExceeded, PreconditionError, SignforgeError
 from .frustration import frustration_index
 from .planar import faces, parse_rot, serialize_rot, verify_planar_critical
 from .structure import (find_decompositions, find_k4_minus_subdivision,
@@ -120,6 +120,9 @@ def _cmd_faces(args) -> int:
                "faces": [{"edges": list(f.edge_ids),
                           "sign": f.sign(g)} for f in fs]}
     if args.k is not None:
+        if not is_critical(g, args.k):
+            raise PreconditionError(
+                f"graph is not critically {args.k}-frustrated")
         report = verify_planar_critical(g, rot, args.k)
         payload["report"] = report.to_json()
         lines.append(str(report.to_json()))
@@ -151,9 +154,7 @@ def _cmd_construct(args) -> int:
               f"{[sorted(c) for c in cuts]}")
     else:
         g = ghat(t)
-        out = args.out or f"ladder-{t}.sg"
-        if not out.endswith(".sg"):
-            out += ".sg"
+        out = (args.out or f"ladder-{t}").removesuffix(".sg") + ".sg"
         pathlib.Path(out).write_text(serialize_sg(g))
         _emit(args, {"command": "construct", "kind": "ladder", "t": t,
                      "vertices": g.n, "edges": g.m, "out": out},

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import guards
-from .errors import NotACycleError, ParseError, UnknownVertexError
+from .errors import (NotACycleError, ParseError, PreconditionError,
+                     UnknownVertexError)
 
 Vertex = Hashable
 POS = 1
@@ -576,37 +577,41 @@ def _content_lines(text: str) -> Iterator[tuple]:
     return ((ln, line) for ln, line in enumerate(lines, start=1) if line)
 
 
+def _label(v) -> str:
+    """v as a .sg/.rot token; no token is empty or holds whitespace or `#`."""
+    text = str(v)
+    if text.split() != [text] or "#" in text:
+        raise PreconditionError(f"vertex label {text!r} cannot be written: "
+                                "it is empty or holds whitespace or `#`")
+    return text
+
+
 def parse_sg(text: str) -> SignedGraph:
     """Parse the .sg edge-list format.
 
-    One edge per line: `u v s` with s in {+,-}; `vertex u` declares an
-    isolated vertex; `#` starts a comment.
+    A three-token line is an edge `u v s` with s in {+,-}; a two-token line
+    `vertex u` declares an isolated vertex; `#` starts a comment.
     """
     edge_list = []
     isolated = []
     for ln, line in _content_lines(text):
         parts = line.split()
-        if parts[0] == "vertex":
-            if len(parts) != 2:
-                raise ParseError(f"line {ln}: expected `vertex u`")
+        if len(parts) == 3:
+            edge_list.append((parts[0], parts[1], parse_sign(parts[2])))
+        elif len(parts) == 2 and parts[0] == "vertex":
             isolated.append(parts[1])
-            continue
-        if len(parts) != 3:
-            raise ParseError(f"line {ln}: expected `u v s`")
-        u, v, s = parts
-        edge_list.append((u, v, parse_sign(s)))
+        else:
+            raise ParseError(f"line {ln}: expected " + (
+                "`vertex u`" if parts[0] == "vertex" else "`u v s`"))
     return build_graph(edge_list, isolated=isolated)
 
 
 def serialize_sg(g: SignedGraph) -> str:
-    """Inverse of parse_sg; round-trips the edge multiset bit-exactly."""
-    lines = []
-    covered = set()
-    for e in g.edges:
-        covered.add(e.u)
-        covered.add(e.v)
-        lines.append(f"{e.u} {e.v} {sign_token(e.sign)}")
-    for v in g.vertices:
-        if v not in covered:
-            lines.append(f"vertex {v}")
+    """Inverse of parse_sg; round-trips the edge multiset bit-exactly.
+    A label that no .sg token can carry raises PreconditionError."""
+    label = {v: _label(v) for v in g.vertices}
+    lines = [f"{label[e.u]} {label[e.v]} {sign_token(e.sign)}"
+             for e in g.edges]
+    covered = {v for e in g.edges for v in (e.u, e.v)}
+    lines += [f"vertex {label[v]}" for v in g.vertices if v not in covered]
     return "\n".join(lines) + "\n"

@@ -11,12 +11,12 @@ bar for planarity claims.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
-from .core import NEG, SignedGraph, _content_lines
-from .criticality import is_critical
-from .errors import EmbeddingError, PreconditionError, TheoremViolation
+from .core import NEG, SignedGraph, _content_lines, _label
+from .errors import EmbeddingError, TheoremViolation
 
 # a dart is (edge id, end); end 0 = the 'a' end (edge.u), end 1 = 'b' (edge.v)
 _DART_RE = re.compile(r"^e(\d+)\.([ab])$")
@@ -69,10 +69,7 @@ class FaceWalk:
         return len(self.darts)
 
     def sign(self, g: SignedGraph) -> int:
-        s = 1
-        for eid in self.edge_ids:
-            s *= g.edges[eid].sign
-        return s
+        return math.prod(g.edges[eid].sign for eid in self.edge_ids)
 
 
 def faces(g: SignedGraph, rot: RotationSystem, planar: bool = True) -> tuple:
@@ -127,23 +124,23 @@ class PlanarCriticalReport:
         }
 
 
-def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
-                           check_critical: bool = True) -> PlanarCriticalReport:
-    """Face-level report for a critically k-frustrated planar embedding.
+def verify_planar_critical(g: SignedGraph, rot: RotationSystem,
+                           k: int) -> PlanarCriticalReport:
+    """Face-level report of a planar embedding; k must be its frustration
+    index, and criticality is not checked (`signforge faces --k` does).
 
-    Sub-checks are reported, not asserted, except the universal bound
-    (at most 2k negative faces for a critical graph), which raises
-    TheoremViolation.  k must be the frustration index.  Any minimum
-    signature N (|N| = k) meets the face walks 2k times, as every edge has
-    two darts, and a face an odd number of times iff it is negative: so N
-    meets every face exactly once iff there are 2k faces, all negative.
+    A minimum signature N (|N| = k) meets the face walks 2k times, as each
+    edge has two darts, and a face an odd number of times iff it is
+    negative.  So at its index any embedding, critical or not, has at most
+    2k negative faces (else TheoremViolation), and N meets every face once
+    iff there are 2k faces, all negative.  No switching is walked.
     """
-    if check_critical:
-        if not is_critical(g, k):
-            raise PreconditionError(f"graph is not critically {k}-frustrated")
-    fs = faces(g, rot, planar=True)
+    fs = faces(g, rot)
     neg_faces = sum(1 for f in fs if f.sign(g) == NEG)
-    report = PlanarCriticalReport(
+    if neg_faces > 2 * k:
+        raise TheoremViolation(
+            f"embedding with {neg_faces} negative faces exceeds 2k={2*k}")
+    return PlanarCriticalReport(
         k=k,
         face_count=len(fs),
         negative_face_count=neg_faces,
@@ -152,23 +149,20 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem, k: int,
         one_negative_edge_per_face=neg_faces == len(fs) == 2 * k,
         negative_bound_ok=neg_faces <= 2 * k,
     )
-    if not report.negative_bound_ok:
-        raise TheoremViolation(
-            f"critical graph with {neg_faces} negative faces exceeds 2k={2*k}")
-    return report
 
 
 # -- .rot text format -----------------------------------------------------------
 
 def parse_rot(text: str) -> RotationSystem:
-    """Parse the .rot format: `v: e0.a e3.b ...` per vertex, clockwise."""
+    """Parse the .rot format: `v: e0.a e3.b ...` per vertex, clockwise.
+    Each line splits at its last `:`, as darts hold none."""
     rotation = {}
     for ln, line in _content_lines(text):
         if ":" not in line:
             raise EmbeddingError(f"line {ln}: expected `v: darts...`")
-        vtok, dpart = line.split(":", 1)
+        vtok, dpart = line.rsplit(":", 1)
         v = vtok.strip()
-        if not v or v in rotation:
+        if v.split() != [v] or v in rotation:
             raise EmbeddingError(f"line {ln}: bad or repeated vertex {v!r}")
         ring = []
         for tok in dpart.split():
@@ -185,5 +179,5 @@ def serialize_rot(g: SignedGraph, rot: RotationSystem) -> str:
     for v in g.vertices:
         darts = " ".join(f"e{eid}.{'a' if end == 0 else 'b'}"
                          for eid, end in rot.rotation[v])
-        lines.append(f"{v}: {darts}")
+        lines.append(f"{_label(v)}: {darts}")
     return "\n".join(lines) + "\n"

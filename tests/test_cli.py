@@ -6,11 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from signforge import guards
+from signforge import catalog, guards
 from signforge.cli import run
-from signforge.core import parse_sg
+from signforge.constructions import ghat_planar
+from signforge.core import build_graph, parse_sg, serialize_sg
 from signforge.criticality import METHODS
 from signforge.errors import SignforgeError
+from signforge.planar import RotationSystem, serialize_rot
 
 
 def invoke(argv):
@@ -127,6 +129,58 @@ def test_construct_planar_ladder_and_faces(tmp_path, capsys, name):
     assert "'faces': 9" in report and "'negative_bound_ok': True" in report
 
 
+G7_FACES = [[0, 1, 10, 5], [0, 6, 8], [1, 8, 7, 2], [2, 3, 4, 10],
+            [3, 7, 9], [4, 9, 6, 5]]
+G7_REPORT = {"k": 3, "faces": 6, "negative_faces": 6,
+             "all_faces_negative": True, "face_count_is_2k": True,
+             "one_negative_edge_per_face": True, "negative_bound_ok": True}
+
+
+def faces_input(case):
+    """(graph, rotation, k) of a faces --k case."""
+    if case == "g7":
+        entry = catalog.get("g7")
+        return entry.graph, entry.rotation, 3
+    if case == "pendant":  # a negative triangle and a pendant edge: k = 1
+        g = build_graph([(0, 1, "+"), (1, 2, "+"), (2, 0, "-"), (2, 3, "+")])
+        return g, RotationSystem({0: ((0, 0), (2, 1)), 1: ((0, 1), (1, 0)),
+                                  2: ((1, 1), (2, 0), (3, 0)),
+                                  3: ((3, 1),)}), 1
+    g, rot, _ = ghat_planar(12)  # n = 29, past the switching guard
+    return g, rot, 3
+
+
+@pytest.mark.parametrize("case, code, err", [
+    ("g7", 0, ""),
+    ("pendant", 2, "error: graph is not critically 1-frustrated\n"),
+    ("ghat-planar-12", 3, "guard refusal: switching search: 29 exceeds "
+     f"guard {guards.SWITCH_SEARCH_MAX_VERTICES} "
+     "(set SIGNFORGE_GUARD_OVERRIDE=1 to force)\n"),
+], ids=["g7", "pendant", "ghat-planar-12"])
+def test_faces_k_certifies_before_the_report(tmp_path, capsys, monkeypatch,
+                                             case, code, err):
+    monkeypatch.delenv("SIGNFORGE_GUARD_OVERRIDE", raising=False)
+    g, rot, k = faces_input(case)
+    sg, rotation = tmp_path / "x.sg", tmp_path / "x.rot"
+    sg.write_text(serialize_sg(g))
+    rotation.write_text(serialize_rot(g, rot))
+    human = "".join(f"face {i}: edges={edges} sign=-\n"
+                    for i, edges in enumerate(G7_FACES)) + f"{G7_REPORT}\n"
+    for flags in ([], ["--json"]):
+        assert run(flags + ["faces", str(sg), str(rotation),
+                            "--k", str(k)]) == code
+        out, got = capsys.readouterr()
+        assert got == err
+        if code:
+            assert out == ""
+        elif flags:
+            assert json.loads(out) == {
+                "schema": 1, "command": "faces", "report": G7_REPORT,
+                "faces": [{"edges": e, "sign": -1} for e in G7_FACES]}
+        else:
+            assert out == human
+
+
 def test_decompose_and_structure(tmp_path, capsys):
     g = tmp_path / "two.sg"
     g.write_text("0 0 -\n1 1 -\n")
@@ -212,6 +266,18 @@ def test_negative_enumeration_k_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def assert_known_exit(argv) -> int:
+    """Run argv with its output captured: it must exit 0, 2, 3 or 64, and
+    its --json output must parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = invoke(argv)
+    assert code in (0, 2, 3, 64), (argv, err.getvalue())
+    if "--json" in argv and out.getvalue():
+        json.loads(out.getvalue())
+    return code
+
+
 SG_JUNK = ["x", "0 1", "0 1 + 2", "0 1 ?", "0 1 +2", "vertex", "vertex 0 1",
            "# a comment", "0 1 - # trailing", "a b \u2212", "\t0  1\t-",
            "0: e0.a"]
@@ -274,13 +340,7 @@ def test_cli_fuzz_exits_with_a_known_code(tmp_path, data):
              ["faces", str(sg), str(rot), "--k", k]]
     for argv in argvs:
         for flags in ([], ["--json"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = invoke(flags + argv)
-            assert code in (0, 2, 3, 64), (flags + argv, err.getvalue())
-            if flags and out.getvalue():
-                json.loads(out.getvalue())
+            assert_known_exit(flags + argv)
 
 
 @settings(max_examples=60, deadline=None,
@@ -304,9 +364,46 @@ def test_enumerate_fuzz_exits_with_a_known_code(tmp_path, monkeypatch, data):
                                "--non-decomposable")
              if data.draw(st.booleans())]
     flags = ["--json"] if data.draw(st.booleans()) else []
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = invoke(flags + argv)
-    assert code in (0, 2, 3, 64), (flags + argv, err.getvalue())
-    if flags and out.getvalue():
-        json.loads(out.getvalue())
+    assert_known_exit(flags + argv)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_construct_fuzz_exits_with_a_known_code(tmp_path, monkeypatch, data):
+    # t stays small: construct has no size guard, and ghat(t) has 4 + 2t
+    # vertices for any t
+    monkeypatch.chdir(tmp_path)  # where the default output names land
+    flags = ["--json"] if data.draw(st.booleans()) else []
+    argv = ["construct", "ladder", str(data.draw(st.integers(-2, 6)))]
+    argv += ["--planar"] if data.draw(st.booleans()) else []
+    argv += (["-o", data.draw(st.sampled_from(["out", "out.sg"]))]
+             if data.draw(st.booleans()) else [])
+    assert_known_exit(flags + argv)
+    paths = []
+    for name in ("a.sg", "b.sg"):
+        (tmp_path / name).write_text(data.draw(sg_texts()))
+        paths += [name, str(data.draw(st.integers(-1, 10)))]
+    argv = ["construct", "hjoin", *paths]
+    argv += ["-o", "j.sg"] if data.draw(st.booleans()) else []
+    assert_known_exit(flags + argv)
+
+
+@pytest.mark.parametrize("action", ["list", "show", "verify"])
+def test_catalog_commands_exit_with_a_known_code(action):
+    names = [*catalog.names(), "no-such-entry"]
+    for name in ([None] + names if action != "list" else [None]):
+        for flags in ([], ["--json"]):
+            code = assert_known_exit(
+                flags + ["catalog", action] + ([name] if name else []))
+            assert (code == 0) == (action == "list"
+                                   or name in catalog.names())
+    assert assert_known_exit(["--json", "catalog", "verify", "--all"]) == 0
+
+
+@pytest.mark.parametrize("number, code", [(1, 0), (5, 0), (6, 0), (11, 0),
+                                          (0, 64), (13, 64)])
+def test_reproduce_only_exits_with_a_known_code(number, code):
+    for flags in ([], ["--json"]):
+        assert assert_known_exit(
+            flags + ["reproduce", "--only", str(number)]) == code

@@ -78,7 +78,7 @@ def test_planarized_ladder_cuts_and_faces():
         assert frustration_index(g).index == 3
         for side in cuts:
             assert cut(g, side).equilibrated
-        rep = verify_planar_critical(g, rot, 3, check_critical=False)
+        rep = verify_planar_critical(g, rot, 3)
         assert rep.face_count == 2 * t + 7
         assert rep.negative_bound_ok and not rep.all_faces_negative
     for t in range(1, 7):

@@ -274,7 +274,7 @@ def test_one_walk_per_question(monkeypatch):
         assert len(walks) == 1
 
 
-def test_one_scan_per_planar_report_and_catalog_check(monkeypatch):
+def test_planar_report_scans_nothing_and_catalog_check_once(monkeypatch):
     scans = []
     component_scans = frustration._component_scans
 
@@ -286,11 +286,7 @@ def test_one_scan_per_planar_report_and_catalog_check(monkeypatch):
         monkeypatch.setattr(mod, "_component_scans", counted)
     entry = catalog.get("g7")
     verify_planar_critical(entry.graph, entry.rotation, 3)
-    assert len(scans) == 1  # the criticality check; the faces need none
-    scans.clear()
-    verify_planar_critical(entry.graph, entry.rotation, 3,
-                           check_critical=False)
-    assert not scans
+    assert not scans  # the faces need no switching
     catalog.verify("g7")
     assert len(scans) == 1  # the index and all three verdicts
     scans.clear()

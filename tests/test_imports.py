@@ -1,6 +1,7 @@
 """Every import in the package, the tests and the scripts is used, every
 private module-level name of the package is read, and the package's
-modules import each other in layers.
+modules import each other in layers: `planar` imports only `core` and
+`errors`.
 
 Stdlib `ast` checks.  A name an import binds must be read somewhere in
 its module; package `__init__` modules are skipped, as their imports are
@@ -110,24 +111,27 @@ def function_imports(source: str) -> list:
                    if isinstance(inner, (ast.Import, ast.ImportFrom))})
 
 
-def import_cycle(sources: dict) -> list:
-    """A cycle, as [a, b, ..., a], in the graph of the relative imports
-    that sources (module name -> source text) make outside function
-    bodies, or [] if there is none."""
+def relative_imports(source: str) -> set:
+    """The modules that source imports relatively (`from .x import` and
+    `from . import x`) outside function bodies."""
     def outside_functions(node):
         yield node
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from outside_functions(child)
 
-    graph = {}
-    for module, source in sources.items():
-        graph[module] = [
-            name for node in outside_functions(ast.parse(source))
+    return {name for node in outside_functions(ast.parse(source))
             if isinstance(node, ast.ImportFrom) and node.level
             for name in ([node.module.split(".")[0]] if node.module
-                         else [alias.name for alias in node.names])
-            if name in sources]
+                         else [alias.name for alias in node.names])}
+
+
+def import_cycle(sources: dict) -> list:
+    """A cycle, as [a, b, ..., a], in the graph of the relative imports
+    that sources (module name -> source text) make outside function
+    bodies, or [] if there is none."""
+    graph = {module: sorted(relative_imports(source) & set(sources))
+             for module, source in sources.items()}
     done, path = set(), []
 
     def visit(module):
@@ -157,6 +161,13 @@ def test_function_imports_are_caught():
                             "        import sys\n") == [3, 7]
 
 
+def test_relative_imports_are_read_outside_functions():
+    assert relative_imports("import os\nfrom .a.b import c\n"
+                            "from . import d, e\nfrom x import y\n"
+                            "def f():\n    from .g import h\n") == {
+        "a", "d", "e"}
+
+
 def test_import_cycles_are_caught():
     sources = {"a": "from .b import x\n", "b": "from . import c, os\n",
                "c": "def f():\n    from .a import y\n"}
@@ -175,3 +186,9 @@ def test_package_modules_import_in_layers():
     assert not found, "imports inside functions:\n" + "\n".join(found)
     cycle = import_cycle(sources)
     assert not cycle, "import cycle: " + " -> ".join(cycle)
+
+
+def test_planar_imports_only_core_and_errors():
+    # the face report reads faces only; certifying is the caller's walk
+    source = (ROOT / "src/signforge/planar.py").read_text()
+    assert relative_imports(source) == {"core", "errors"}

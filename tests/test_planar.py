@@ -1,12 +1,16 @@
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from signforge import catalog
+from signforge import catalog, criticality, frustration
 from signforge.constructions import ghat_planar
-from signforge.core import build_graph, switch
-from signforge.errors import EmbeddingError, TheoremViolation
+from signforge.core import build_graph, parse_sg, serialize_sg, switch
+from signforge.errors import (EmbeddingError, PreconditionError,
+                              TheoremViolation)
 from signforge.frustration import frustration_index
 from signforge.planar import (RotationSystem, faces, parse_rot,
                               serialize_rot, validate_rotation,
@@ -110,8 +114,7 @@ def test_one_negative_edge_per_face_matches_a_per_face_count(label, g, rot):
         neg = result.negative_edge_ids
         once = all(sum(eid in neg for eid in f.edge_ids) == 1
                    for f in faces(h, rot))
-        report = verify_planar_critical(h, rot, result.index,
-                                        check_critical=False)
+        report = verify_planar_critical(h, rot, result.index)
         assert report.one_negative_edge_per_face == once
 
 
@@ -119,10 +122,10 @@ def test_negative_face_bound_violation_raises():
     # one negative edge, one face on each side: fine for k=1, absurd for k=0
     g = build_graph([(0, 1, "-"), (0, 1, "+")])
     rot = RotationSystem({0: ((0, 0), (1, 0)), 1: ((0, 1), (1, 1))})
-    rep = verify_planar_critical(g, rot, 1, check_critical=False)
+    rep = verify_planar_critical(g, rot, 1)
     assert rep.negative_bound_ok
     with pytest.raises(TheoremViolation):
-        verify_planar_critical(g, rot, 0, check_critical=False)
+        verify_planar_critical(g, rot, 0)
 
 
 def test_rot_round_trip():
@@ -130,3 +133,48 @@ def test_rot_round_trip():
     text = serialize_rot(entry.graph, entry.rotation)
     assert parse_rot(text).rotation == entry.rotation.rotation
     assert serialize_rot(entry.graph, parse_rot(text)) == text
+
+
+def test_the_report_walks_no_switching_past_the_guard(monkeypatch):
+    def refuse(g):
+        raise AssertionError("switching scan")
+
+    for mod in (frustration, criticality):
+        monkeypatch.setattr(mod, "_component_scans", refuse)
+    g, rot, _ = ghat_planar(12)  # n = 29, past the switching guard
+    rep = verify_planar_critical(g, rot, 3)
+    assert (rep.face_count, rep.negative_face_count) == (31, 2)
+    assert rep.negative_bound_ok and not rep.one_negative_edge_per_face
+
+
+# labels the line formats could mistake for a keyword, a separator or a dart
+LABELS = ("vertex", "a:b", "x:", ":", "0", "1", "7", "e0.a", "+")
+
+
+@given(st.data())
+def test_sg_and_rot_round_trip_every_writable_label(data):
+    labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=1,
+                                unique=True))
+    end = st.sampled_from(labels)
+    edges = data.draw(st.lists(st.tuples(end, end, st.sampled_from("+-")),
+                               max_size=6))
+    g = build_graph(edges, isolated=labels)
+    assert parse_sg(serialize_sg(g)) == g
+    ends = {v: [] for v in g.vertices}
+    for e in g.edges:
+        ends[e.u].append((e.eid, 0))
+        ends[e.v].append((e.eid, 1))
+    rot = RotationSystem({v: tuple(data.draw(st.permutations(darts)))
+                          for v, darts in ends.items()})
+    assert parse_rot(serialize_rot(g, rot)).rotation == rot.rotation
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "a#b", "#"])
+def test_unwritable_labels_are_refused(label):
+    g = build_graph([(label, "x", "-")])
+    rot = RotationSystem({label: ((0, 0),), "x": ((0, 1),)})
+    for write in (lambda: serialize_sg(g), lambda: serialize_rot(g, rot)):
+        with pytest.raises(PreconditionError, match=re.escape(repr(label))):
+            write()
+    with pytest.raises(PreconditionError):
+        serialize_sg(build_graph([], isolated=[label]))
