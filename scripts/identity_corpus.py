@@ -12,10 +12,10 @@ checked by running this on both sides:
     python3 scripts/identity_corpus.py --src OTHER/src # another one
 
 The family-search corpus is the 27 catalog entries and
-random_signed_graph(Random(s), 7, 11) for s = 0..2499; per graph five
+random_signed_graph(Random(s), 7, 11) for s = 0..2499; per graph four
 calls: min_negative_cycle_cover, max_edge_disjoint_negative_cycles
-without and with stop_at=2, and negative_cycle_double_cover(g, k)
-without and with distinct_only, k the frustration index (12,635 calls).
+without and with stop_at=2, and negative_cycle_double_cover(g, k), k
+the frustration index (2,527 calls per function).
 
 The decomposition corpus calls find_decompositions(g, k) and
 is_decomposable(g, k) on: the catalog entries, ghat(0..4) and
@@ -97,9 +97,6 @@ def family_calls():
             lambda g=g: cycles.max_edge_disjoint_negative_cycles(g, 2))
         yield "negative_cycle_double_cover", (
             lambda g=g, k=k: cycles.negative_cycle_double_cover(g, k))
-        yield "negative_cycle_double_cover(distinct_only)", (
-            lambda g=g, k=k: cycles.negative_cycle_double_cover(
-                g, k, distinct_only=True))
 
 
 def _k4(vs):

@@ -201,6 +201,5 @@ def certify(g: SignedGraph, k: Optional[int] = None,
     return _certificates(g, k, (method,))[0]
 
 
-def is_critical(g: SignedGraph, k: Optional[int] = None,
-                method: str = "deletion") -> bool:
-    return certify(g, k, method).critical
+def is_critical(g: SignedGraph, k: Optional[int] = None) -> bool:
+    return certify(g, k).critical

@@ -18,8 +18,10 @@ the cycles through each edge.  Only the members a caller returns become
 Cycle values.  A node picks only among its live options, a mask over
 option indices: those from its start on that hit no item already at the
 upper bound, and for the double cover only those through the lowest
-item still short.  A pick must also fit the length window that the
-count bounds leave its child.
+item still short.  Only the double cover may pick an option again, as
+a lone negative loop needs: its child starts at the pick, and the bound
+of two hits per edge stops a third.  A pick must also fit the length
+window that the count bounds leave its child.
 """
 
 from __future__ import annotations
@@ -117,12 +119,13 @@ def negative_cycles(g: SignedGraph) -> tuple:
 
 
 def _least_family(options: list, universe: int, size: int, lo: int,
-                  hi: Optional[int], repeat: int,
+                  hi: Optional[int],
                   hitters: Optional[list]) -> Optional[tuple]:
-    """The lex-least ascending tuple of `size` indices into options, each
-    index used at most `repeat` times, such that every item of universe
-    is hit by between lo and hi of the chosen options (0 <= lo <= 2,
-    hi 1, 2 or None for no upper bound), or None if there is none.
+    """The lex-least ascending tuple of `size` indices into options such
+    that every item of universe is hit by between lo and hi of the chosen
+    options (0 <= lo <= 2, hi 1, 2 or None for no upper bound), or None
+    if there is none.  An index may repeat only when hi == 2, and at
+    most twice then: a third pick would overfill its items.
 
     Options and universe are int bitmasks of items, every option
     non-empty (checked) and within the universe; hitters[item] masks the
@@ -159,7 +162,7 @@ def _least_family(options: list, universe: int, size: int, lo: int,
     every = (1 << n) - 1
     failed = set()
 
-    def step(start, uses, left, once, twice, dead, picked):
+    def step(start, left, once, twice, dead, picked):
         # hits[t]: the hits so far, each item counted at most t times
         o = once.bit_count()
         hits = (0, o, o + twice.bit_count())
@@ -172,9 +175,8 @@ def _least_family(options: list, universe: int, size: int, lo: int,
         short = universe & ~(universe, once, twice)[lo]  # items below lo
         if block:  # skip to the lowest short item's block
             first = bisect_left(lows, short & -short)
-            if first > start:
-                start, uses = first, 0
-        key = (start, uses, left, once, twice)
+            start = max(start, first)
+        key = (start, left, once, twice)
         if key in failed:
             return None
         if hi:
@@ -192,22 +194,20 @@ def _least_family(options: list, universe: int, size: int, lo: int,
             bit = live & -live
             live ^= bit
             j = bit.bit_length() - 1
-            if short & ~beyond[j] or (n - j) * repeat < left:
+            if short & ~beyond[j] or (n - j) * (hi or 1) < left:
                 break
             if not bottom <= lengths[j] <= top:
                 continue
             opt = options[j]
-            c = uses + 1 if j == start else 1
-            found = step(*((j, c) if c < repeat else (j + 1, 0)), left - 1,
-                         once | opt, twice | once & opt if deep else 0,
-                         dead, opt)
+            found = step(j if hi == 2 else j + 1, left - 1, once | opt,
+                         twice | once & opt if deep else 0, dead, opt)
             if found is not None:
                 return (j,) + found
         failed.add(key)
         return None
 
     try:  # one level per pick
-        found = step(0, 0, size, 0, 0, 0, 0)
+        found = step(0, size, 0, 0, 0, 0)
     except RecursionError:
         raise guards._too_deep("cycle family search") from None
     del step  # a self-referencing closure: free its memo now, not at gc
@@ -246,7 +246,7 @@ def min_negative_cycle_cover(g: SignedGraph) -> tuple:
     options = [through[e] for e in pool]
     universe = (1 << len(walks)) - 1
     for size in range(len(pool) + 1):  # the whole pool is a cover
-        found = _least_family(options, universe, size, 1, None, 1, None)
+        found = _least_family(options, universe, size, 1, None, None)
         if found is not None:
             return tuple(pool[i] for i in found)
 
@@ -266,7 +266,7 @@ def max_edge_disjoint_negative_cycles(g: SignedGraph,
     family = ()
     while len(family) != stop_at:
         found = _least_family(masks, (1 << g.m) - 1, len(family) + 1,
-                              0, 1, 1, through)
+                              0, 1, through)
         if found is None:
             break
         family = found
@@ -281,27 +281,24 @@ def has_two_edge_disjoint_negative_cycles(g: SignedGraph) -> bool:
     return len(max_edge_disjoint_negative_cycles(g, stop_at=2)) >= 2
 
 
-def negative_cycle_double_cover(g: SignedGraph, k: int,
-                                distinct_only: bool = False
-                                ) -> Optional[tuple]:
+def negative_cycle_double_cover(g: SignedGraph, k: int) -> Optional[tuple]:
     """A family of exactly 2k negative cycles covering every edge twice.
 
     Cycles may repeat, at most twice each (a single negative loop needs
-    the loop cycle taken twice); distinct_only forbids repetition.
-    Returns the family as a tuple of Cycle values, lexicographically
-    least (cycles compared by sorted edge-id tuple), or None if no such
-    cover exists: the family search over the negative cycles with every
-    edge of g hit exactly twice, so an edge on no negative cycle gives
-    None.  k must be >= 0 but need not be the frustration index ℓ.  None
-    exists for k > ℓ: every negative cycle meets a minimum signature N an
-    odd number of times and every edge of N lies in two members, so
-    2k <= 2ℓ.  So a family found at k = ℓ certifies the index from below.
+    the loop cycle taken twice).  Returns the family as a tuple of Cycle
+    values, lexicographically least (cycles compared by sorted edge-id
+    tuple), or None if no such cover exists: the family search over the
+    negative cycles with every edge of g hit exactly twice, so an edge on
+    no negative cycle gives None.  k must be >= 0 but need not be the
+    frustration index ℓ.  None exists for k > ℓ: every negative cycle
+    meets a minimum signature N an odd number of times and every edge of
+    N lies in two members, so 2k <= 2ℓ.  So a family found at k = ℓ
+    certifies the index from below.
     """
     if k < 0:
         raise PreconditionError(f"k={k} is negative")
     walks, masks, through = _cycle_table(g)
-    found = _least_family(masks, (1 << g.m) - 1, 2 * k, 2, 2,
-                          1 if distinct_only else 2, through)
+    found = _least_family(masks, (1 << g.m) - 1, 2 * k, 2, 2, through)
     return None if found is None else tuple(Cycle(*walks[i]) for i in found)
 
 
@@ -334,10 +331,7 @@ def is_double_cover(g: SignedGraph, cs) -> bool:
 
 def cycleset_to_json(g: SignedGraph, cs) -> dict:
     """CycleSet JSON: the cycles as edge-id lists plus the per-edge
-    incidence histogram."""
-    hist = {e.eid: 0 for e in g.edges}
-    for c in cs:
-        for eid in c.edge_ids:
-            hist[eid] += 1
+    incidence histogram (every member a negative cycle of g)."""
     return {"cycles": [sorted(c.edge_ids) for c in cs],
-            "edge_incidence": {str(eid): n for eid, n in sorted(hist.items())}}
+            "edge_incidence": {str(eid): n for eid, n in
+                               enumerate(_edge_counts(g, cs))}}

@@ -72,12 +72,12 @@ class FaceWalk:
         return math.prod(g.edges[eid].sign for eid in self.edge_ids)
 
 
-def faces(g: SignedGraph, rot: RotationSystem, planar: bool = True) -> tuple:
+def faces(g: SignedGraph, rot: RotationSystem) -> tuple:
     """All facial walks of the embedding, each from its least dart, in the
     order of those darts: one pass over the darts in ascending order.
 
-    With planar=True (the default: shipped rotations claim planarity) the
-    Euler count n - m + f = 2 is enforced for connected graphs.
+    A rotation system here claims a planar embedding, so for a connected
+    graph the Euler count n - m + f = 2 is enforced (EmbeddingError).
     """
     validate_rotation(g, rot)
     if g.m == 0:
@@ -96,7 +96,7 @@ def faces(g: SignedGraph, rot: RotationSystem, planar: bool = True) -> tuple:
                 d = next_dart(d)
             on_face.update(walk)
             out.append(FaceWalk(tuple(walk)))
-    if planar and g.is_connected and g.n - g.m + len(out) != 2:
+    if g.is_connected and g.n - g.m + len(out) != 2:
         raise EmbeddingError(
             f"Euler violation: {g.n} - {g.m} + {len(out)} != 2")
     return tuple(out)

@@ -354,17 +354,9 @@ def find_k4_minus_subdivision(g: SignedGraph
     return None if found is None else K4MinusSubdivision(found[0], found[2])
 
 
-def k4_minus_subdivision_edge_sets(g: SignedGraph,
-                                   allowed: Optional[frozenset] = None
-                                   ) -> tuple:
-    """Distinct edge sets of all-negative-K4 subdivisions inside allowed,
-    a set of edge ids (default every edge; others raise)."""
-    eids = range(g.m) if allowed is None else sorted(allowed)
-    for eid in eids:
-        if not 0 <= eid < g.m:
-            raise PreconditionError(f"edge {eid} is not an edge id "
-                                    f"(0..{g.m - 1})")
-    out = {es for _, es, _ in _systems(g, eids)}
+def k4_minus_subdivision_edge_sets(g: SignedGraph) -> tuple:
+    """Distinct edge sets of all-negative-K4 subdivisions of g."""
+    out = {es for _, es, _ in _systems(g, range(g.m))}
     return tuple(map(frozenset, sorted(tuple(_ids(es)) for es in out)))
 
 
@@ -514,15 +506,16 @@ def reduce_to_irreducible(g: SignedGraph,
 
 # -- star-class membership ---------------------------------------------------------
 
-def in_s_star(g: SignedGraph, k: Optional[int] = None) -> bool:
+def in_s_star(g: SignedGraph) -> bool:
     """Irreducible critical graphs with no two edge-disjoint negative cycles.
 
     Raises PreconditionError unless g is irreducible and critically
-    k-frustrated; then membership is exactly packing number <= 1.
+    k-frustrated, k its frustration index; then membership is exactly
+    packing number <= 1.
     """
     if not is_irreducible(g):
         raise PreconditionError("graph is reducible")
-    cert = certify(g, k)  # k defaults to the index, read off the same scan
+    cert = certify(g)  # k is the index, read off the same scan
     if not cert.critical:
         raise PreconditionError(f"graph is not critically {cert.k}-frustrated")
     return not has_two_edge_disjoint_negative_cycles(g)

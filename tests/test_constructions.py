@@ -8,7 +8,7 @@ import pytest
 from signforge import catalog
 from signforge.constructions import ghat, ghat_decomposition_cycles, ghat_planar, h_join
 from signforge.core import build_graph, cut, switching_isomorphic
-from signforge.criticality import METHODS, is_critical
+from signforge.criticality import METHODS, certify, is_critical
 from signforge.cycles import has_two_edge_disjoint_negative_cycles, packing_number
 from signforge.errors import PreconditionError
 from signforge.frustration import frustration_index
@@ -112,7 +112,7 @@ def test_join_of_two_k4_blocks():
     assert j.n == 8 and j.m == 12
     assert frustration_index(j).index == 3
     for method in METHODS:
-        assert is_critical(j, 3, method=method)
+        assert certify(j, 3, method=method).critical
     assert is_irreducible(j)
     assert not is_decomposable(j, 3)
     # non-decomposable, yet each block keeps a negative triangle: the join

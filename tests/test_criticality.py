@@ -8,8 +8,7 @@ from signforge import catalog, core, criticality, frustration
 from signforge.constructions import ghat
 from signforge.core import POS, balancing_switch_set, build_graph, cut, switch
 from signforge.errors import GuardExceeded, PreconditionError
-from signforge.criticality import (METHODS, certify, equilibrated_cut_for_edge,
-                                   is_critical)
+from signforge.criticality import METHODS, certify, equilibrated_cut_for_edge
 from signforge.frustration import (all_minimum_signatures, frustration_index,
                                    minimum_signature_switch)
 from signforge.planar import verify_planar_critical
@@ -29,7 +28,7 @@ def test_negative_cycle_is_critically_1():
 def test_k4_is_critically_2_all_methods():
     g = k4_all_negative()
     for method in METHODS:
-        assert is_critical(g, method=method)
+        assert certify(g, method=method).critical
     assert certify(g).k == 2
 
 
@@ -106,7 +105,7 @@ def test_equilibrated_cut_for_bad_edge_id_is_a_typed_error(eid):
 @given(signed_graphs(max_n=5, max_m=8))
 @settings(max_examples=80, deadline=None)
 def test_three_methods_agree(g):
-    answers = {m: is_critical(g, method=m) for m in METHODS}
+    answers = {m: certify(g, method=m).critical for m in METHODS}
     assert len(set(answers.values())) == 1, answers
 
 

@@ -107,7 +107,6 @@ def test_single_loop_needs_a_repeated_cycle():
     g = build_graph([(0, 0, "-")])
     dc = negative_cycle_double_cover(g, 1)
     assert dc is not None and len(dc) == 2
-    assert negative_cycle_double_cover(g, 1, distinct_only=True) is None
 
 
 def test_leq2_cover_rejects_positive_members():
@@ -126,9 +125,9 @@ def test_overfull_family_is_not_leq2():
 
 def test_exact_hits_need_options_sorted_by_lowest_item():
     with pytest.raises(PreconditionError):
-        _least_family([0b10, 0b01], 0b11, 2, 1, 1, 1,
+        _least_family([0b10, 0b01], 0b11, 2, 1, 1,
                       [0b10, 0b01])  # lo == hi
-    assert _least_family([0b10, 0b01], 0b11, 1, 0, 1, 1,
+    assert _least_family([0b10, 0b01], 0b11, 1, 0, 1,
                          [0b10, 0b01]) == (0,)
 
 
@@ -136,7 +135,7 @@ def test_exact_hits_need_options_sorted_by_lowest_item():
 def test_empty_options_are_refused(lo, hi):
     # in block mode the search would skip the empty option and miss (0, 1, 2)
     with pytest.raises(PreconditionError):
-        _least_family([0, 1, 1], 1, 3, lo, hi, 1, [0b110])
+        _least_family([0, 1, 1], 1, 3, lo, hi, [0b110])
 
 
 def _digons(count):
@@ -318,8 +317,10 @@ def _family_problems(draw, lo, hi):
     return options, universe, draw(st.integers(0, 5))
 
 
+# repeat, the oracle's bound on each index's uses, is hi or 1: the search
+# picks an option again only while hi leaves its items room
 @pytest.mark.parametrize("lo,hi,repeat", [(1, None, 1), (0, 1, 1),
-                                          (2, 2, 1), (2, 2, 2)])
+                                          (2, 2, 2)])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_least_family_is_the_first_family_in_itertools_order(
@@ -327,7 +328,7 @@ def test_least_family_is_the_first_family_in_itertools_order(
     options, universe, size = data.draw(_family_problems(lo, hi))
     hitters = [sum(1 << j for j, o in enumerate(options) if o >> i & 1)
                for i in range(universe.bit_length())]
-    assert _least_family(options, universe, size, lo, hi, repeat,
+    assert _least_family(options, universe, size, lo, hi,
                          hitters) == _first_family(options, universe, size,
                                                    lo, hi, repeat)
 
@@ -385,35 +386,26 @@ def test_double_cover_is_the_first_family_covering_each_edge_twice(g):
 
     assert negative_cycle_double_cover(g, k) == _first(
         itertools.combinations_with_replacement(cycles, 2 * k), covers)
-    assert negative_cycle_double_cover(g, k, distinct_only=True) == _first(
-        itertools.combinations(cycles, 2 * k), covers)
 
 
 # Witnesses of the search before its block rule, where that rule skips the
 # most: each family as its cycles' edge-id tuples.
 _PINNED_DOUBLE_COVERS = {
-    ("ghat_planar(2)", False): [
+    "ghat_planar(2)": [
         (0, 3, 1, 13, 6, 5), (0, 3, 1, 13, 6, 5), (2, 15, 16, 12, 8, 9),
         (2, 15, 16, 12, 8, 9), (4, 17, 14, 11, 10, 7), (4, 17, 14, 11, 10, 7)],
-    ("ghat_planar(2)", True): [
-        (0, 3, 1, 13, 6, 5), (0, 3, 1, 15, 16, 6, 5), (2, 13, 12, 8, 9),
-        (2, 15, 14, 8, 9), (4, 17, 16, 12, 11, 10, 7), (4, 17, 14, 11, 10, 7)],
-    ("ghat(3)", False): [
+    "ghat(3)": [
         (0, 3, 1, 19, 7, 6, 5), (0, 3, 1, 19, 7, 6, 5), (2, 12, 11, 10, 13),
         (2, 12, 11, 10, 13), (4, 8, 18, 17, 16, 15, 14, 9),
-        (4, 8, 18, 17, 16, 15, 14, 9)],
-    ("ghat(3)", True): [
-        (0, 3, 1, 19, 7, 6, 5), (0, 3, 1, 12, 17, 6, 5), (2, 19, 7, 16, 10, 13),
-        (2, 12, 11, 10, 13), (4, 8, 18, 11, 15, 14, 9),
         (4, 8, 18, 17, 16, 15, 14, 9)],
 }
 
 
-@pytest.mark.parametrize("label,distinct", sorted(_PINNED_DOUBLE_COVERS))
-def test_pinned_double_cover_witnesses(label, distinct):
+@pytest.mark.parametrize("label", sorted(_PINNED_DOUBLE_COVERS))
+def test_pinned_double_cover_witnesses(label):
     g = ghat_planar(2)[0] if label == "ghat_planar(2)" else ghat(3)
-    dc = negative_cycle_double_cover(g, 3, distinct_only=distinct)
-    assert [c.edge_ids for c in dc] == _PINNED_DOUBLE_COVERS[label, distinct]
+    dc = negative_cycle_double_cover(g, 3)
+    assert [c.edge_ids for c in dc] == _PINNED_DOUBLE_COVERS[label]
     assert is_double_cover(g, dc)
 
 

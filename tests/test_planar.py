@@ -61,7 +61,6 @@ def test_euler_formula_enforced():
     validate_rotation(g, rot)
     with pytest.raises(EmbeddingError):
         faces(g, rot)
-    assert faces(g, rot, planar=False)  # still traversable as a map
 
 
 def test_malformed_rotations_rejected():
