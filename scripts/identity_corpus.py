@@ -53,7 +53,9 @@ equilibrated_cut_for_edge(g, e) (its to_json, or None) for every edge e
 
 The verification corpus is catalog.verify_all() (one call, the record of
 every entry) and (passed, detail) of acceptance.run_one(n) for each of
-the twelve criteria, its seconds left out (12 calls).
+the twelve criteria, its seconds left out, with one line per criterion
+(run_one(1) .. run_one(12), one call each), so a changed detail names
+its criterion.
 
 One output line per call: the repr of the answer (a decomposition by
 its to_json), or the type and message of a SignforgeError.  The script
@@ -299,7 +301,7 @@ def verification_calls():
         return r.passed, r.detail
 
     for number, _, _ in CRITERIA:
-        yield "run_one", lambda number=number: verdict(number)
+        yield f"run_one({number})", lambda number=number: verdict(number)
 
 
 def _json(value):

@@ -110,7 +110,6 @@ class PlanarCriticalReport:
     all_faces_negative: bool
     face_count_is_2k: bool
     one_negative_edge_per_face: bool
-    negative_bound_ok: bool  # negative faces <= 2k
 
     def to_json(self) -> dict:
         return {
@@ -120,7 +119,6 @@ class PlanarCriticalReport:
             "all_faces_negative": self.all_faces_negative,
             "face_count_is_2k": self.face_count_is_2k,
             "one_negative_edge_per_face": self.one_negative_edge_per_face,
-            "negative_bound_ok": self.negative_bound_ok,
         }
 
 
@@ -147,7 +145,6 @@ def verify_planar_critical(g: SignedGraph, rot: RotationSystem,
         all_faces_negative=neg_faces == len(fs),
         face_count_is_2k=len(fs) == 2 * k,
         one_negative_edge_per_face=neg_faces == len(fs) == 2 * k,
-        negative_bound_ok=neg_faces <= 2 * k,
     )
 
 

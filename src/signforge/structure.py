@@ -48,16 +48,14 @@ that grows the six connecting paths in turn and skips every step that
 leaves a branch vertex fewer usable edges than the later paths ending
 there need.  It yields each system with its edge mask, which the
 enumeration, the decomposition search's index-2 parts and the edge-set
-test read as they are.  Once _GATE
-quadruples have yielded no system, `find_k4_minus_subdivision` adds a
-sign-parity lookahead (`_Lookahead`): it cuts a step after which some
-triangle not yet closed can no longer close negative through the
-untaken vertices.  Both cuts open only subtrees without a system, so the
-systems, their order and the witness are the plain search's.  The gate
-spares searches that find a witness within a few quadruples the cost of
-the lookahead's walk searches.  The enumeration and the edge-set test
-keep the plain search: the test's paths are forced, and most of the
-enumeration's subtrees hold systems.
+test read as they are.  `find_k4_minus_subdivision` adds a sign-parity
+lookahead (`_Lookahead`) from its first quadruple: it cuts a step after
+which some triangle not yet closed can no longer close negative through
+the untaken vertices.  Both cuts open only subtrees without a system, so
+the systems, their order and the witness are the plain search's.  The
+enumeration and the edge-set test keep the plain search: the test's
+paths are forced, and most of the enumeration's subtrees hold systems,
+so there the lookahead's walk searches cost more than they cut.
 """
 
 from __future__ import annotations
@@ -101,9 +99,6 @@ _OPEN = tuple(tuple((tuple(p for p in tri if p < pi), pi in tri,
 _TIMES = tuple(tuple(sum({1 << (i ^ j) for i in (0, 1) for j in (0, 1)
                           if p >> i & q >> j & 1}) for q in range(4))
                for p in range(4))
-# quadruples `find_k4_minus_subdivision` searches without a system before
-# it turns the lookahead on
-_GATE = 12
 
 
 @dataclass(frozen=True)
@@ -124,13 +119,13 @@ class K4MinusSubdivision:
 
 
 def _systems(g: SignedGraph, eids: Iterable[int],
-             gate: Optional[int] = None) -> Iterator[tuple]:
+             lookahead: bool = False) -> Iterator[tuple]:
     """(quadruple, edge mask, paths) for every system of six
     internally-disjoint paths on the edges eids that joins a quadruple of
     branch vertices pairwise such that the four triangle-image cycles are
     negative: an all-negative-K4 subdivision.  The quadruples come
-    ascending by vertex index, and from quadruple number gate on (never
-    by default) the search adds the lookahead.
+    ascending by vertex index; with lookahead the search adds
+    `_Lookahead` from the first of them.
 
     adj maps each vertex to its non-loop (eid, other end, sign) entries
     (`_adjacency`), and bits maps each of its vertices to a bit of its own
@@ -163,14 +158,13 @@ def _systems(g: SignedGraph, eids: Iterable[int],
     skipped.  Both cuts open only subtrees without a system, so the
     systems and their order are those of the unpruned search.
     """
-    adj, look = _adjacency(g, eids), None
+    adj = _adjacency(g, eids)
     bits = _bits(adj)
+    look = _Lookahead(adj, bits) if lookahead else None
     candidates = sorted((v for v, entries in adj.items() if len(entries) >= 3),
                         key=g.vindex.__getitem__)
     try:  # one level per path step
-        for count, quad in enumerate(itertools.combinations(candidates, 4)):
-            if count == gate:
-                look = _Lookahead(adj, bits)
+        for quad in itertools.combinations(candidates, 4):
             hits: dict = {}
             for i, x in enumerate(quad):
                 for _, o, _ in adj[x]:
@@ -350,7 +344,7 @@ def find_k4_minus_subdivision(g: SignedGraph
                  "quadruple search (vertices)")
     guards.check(g.m, guards.QUADRUPLE_SEARCH_MAX_EDGES,
                  "quadruple search (edges)")
-    found = next(_systems(g, range(g.m), _GATE), None)
+    found = next(_systems(g, range(g.m), True), None)
     return None if found is None else K4MinusSubdivision(found[0], found[2])
 
 

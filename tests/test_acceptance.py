@@ -29,6 +29,13 @@ def test_criterion(number, name):
     assert r.passed, f"criterion {number} ({name}): {r.detail}"
 
 
+def test_the_join_criterion_attempts_every_pair_below_index_5():
+    # the joins with k4-minus-all run at k <= 4, where the decomposition
+    # search draws only cycle and K4- parts, so none is skipped for its size
+    detail = run_one(7).detail
+    assert detail.startswith("29 pairs verified;") and "skipped" not in detail
+
+
 def test_ladder_criterion_checks_the_witness_cuts(monkeypatch):
     build = acceptance.ghat_planar
 

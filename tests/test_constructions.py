@@ -80,7 +80,7 @@ def test_planarized_ladder_cuts_and_faces():
             assert cut(g, side).equilibrated
         rep = verify_planar_critical(g, rot, 3)
         assert rep.face_count == 2 * t + 7
-        assert rep.negative_bound_ok and not rep.all_faces_negative
+        assert rep.negative_face_count == 2 and not rep.all_faces_negative
     for t in range(1, 7):
         g, rot, _ = ghat_planar(t)
         fs = faces(g, rot)

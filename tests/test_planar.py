@@ -78,7 +78,7 @@ def test_verify_planar_critical_on_catalog_entry():
     rep = verify_planar_critical(entry.graph, entry.rotation, 3)
     assert rep.face_count == 6
     assert rep.all_faces_negative and rep.face_count_is_2k
-    assert rep.one_negative_edge_per_face and rep.negative_bound_ok
+    assert rep.one_negative_edge_per_face and rep.negative_face_count == 6
 
 
 def _embeddings():
@@ -122,7 +122,7 @@ def test_negative_face_bound_violation_raises():
     g = build_graph([(0, 1, "-"), (0, 1, "+")])
     rot = RotationSystem({0: ((0, 0), (1, 0)), 1: ((0, 1), (1, 1))})
     rep = verify_planar_critical(g, rot, 1)
-    assert rep.negative_bound_ok
+    assert (rep.face_count, rep.negative_face_count) == (2, 2)
     with pytest.raises(TheoremViolation):
         verify_planar_critical(g, rot, 0)
 
@@ -143,7 +143,7 @@ def test_the_report_walks_no_switching_past_the_guard(monkeypatch):
     g, rot, _ = ghat_planar(12)  # n = 29, past the switching guard
     rep = verify_planar_critical(g, rot, 3)
     assert (rep.face_count, rep.negative_face_count) == (31, 2)
-    assert rep.negative_bound_ok and not rep.one_negative_edge_per_face
+    assert not rep.one_negative_edge_per_face
 
 
 # labels the line formats could mistake for a keyword, a separator or a dart

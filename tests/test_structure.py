@@ -332,8 +332,8 @@ _PRUNED_BEFORE_WITNESS = build_graph([
 
 
 # ghat_planar(1) beside k5-minus: 495 quadruples, the witness on one of
-# the last five, so the lookahead runs past the gate and finds it
-_WITNESS_PAST_THE_GATE = build_graph(
+# the last five, so the lookahead cuts many quadruples before it finds it
+_LATE_WITNESS = build_graph(
     [(f"p{e.u}", f"p{e.v}", e.sign) for e in ghat_planar(1)[0].edges]
     + [(f"k{e.u}", f"k{e.v}", e.sign)
        for e in catalog.get("k5-minus").graph.edges])
@@ -343,7 +343,7 @@ _WITNESS_PAST_THE_GATE = build_graph(
        st.randoms(use_true_random=False))
 @example(_PRUNED_BEFORE_WITNESS, random.Random(0))
 @example(ghat_planar(1)[0], random.Random(0))  # 35 quadruples, no system
-@example(_WITNESS_PAST_THE_GATE, random.Random(0))
+@example(_LATE_WITNESS, random.Random(0))
 @settings(max_examples=80, deadline=None)
 def test_pruned_k4_minus_search_matches_the_unpruned_oracle(g, rng):
     assert _subdivisions(g) == list(_unpruned_subdivisions(g))
@@ -363,7 +363,8 @@ def test_pruned_k4_minus_search_matches_the_unpruned_oracle(g, rng):
 def test_prune_cuts_the_search(monkeypatch):
     # the oracle test passes without the prune too; this one does not.
     # The node counts are deterministic: pinned, they also catch a prune
-    # that loses the direct edges' share of free.
+    # that loses the direct edges' share of free.  The plain stream is
+    # counted, as find's lookahead alone cuts this search to 13 nodes.
     grow, nodes = structure._grow, []
 
     def counted(*args):
@@ -373,7 +374,8 @@ def test_prune_cuts_the_search(monkeypatch):
     monkeypatch.setattr(structure, "_grow", counted)
     g, oracle_nodes = _PRUNED_BEFORE_WITNESS, []
     witness = next(_unpruned_subdivisions(g, nodes=oracle_nodes))
-    assert find_k4_minus_subdivision(g) == witness
+    quad, _, paths = next(structure._systems(g, range(g.m)))
+    assert structure.K4MinusSubdivision(quad, paths) == witness
     assert (len(nodes), len(oracle_nodes)) == (31, 42)
     g, nodes[:], oracle_nodes = ghat(1), [], []
     assert _subdivisions(g) == list(_unpruned_subdivisions(
@@ -381,10 +383,10 @@ def test_prune_cuts_the_search(monkeypatch):
     assert (len(nodes), len(oracle_nodes)) == (323, 477)
 
 
-def test_lookahead_cuts_the_search_past_the_gate(monkeypatch):
+def test_lookahead_cuts_the_search_from_the_first_quadruple(monkeypatch):
     # deterministic node counts of find on graphs without a K4-, as (plain,
-    # lookahead): the first _GATE quadruples on the plain search, the rest
-    # on the lookahead (1053 / 8415 / 49049 nodes on the plain search alone)
+    # lookahead): every quadruple on the lookahead (1053 / 8415 / 49049
+    # nodes on the plain search alone)
     grow, nodes = structure._grow, []
 
     def counted(*args):
@@ -397,22 +399,20 @@ def test_lookahead_cuts_the_search_past_the_gate(monkeypatch):
         nodes.clear()
         assert find_k4_minus_subdivision(ghat_planar(t)[0]) is None
         counts.append((nodes.count(False), nodes.count(True)))
-    assert structure._GATE == 12
-    assert counts == [(284, 62), (731, 453), (2169, 1591)]
+    assert counts == [(0, 105), (0, 514), (0, 1663)]
     nodes.clear()
-    witness = find_k4_minus_subdivision(_WITNESS_PAST_THE_GATE)
-    assert witness == next(_unpruned_subdivisions(_WITNESS_PAST_THE_GATE))
-    assert nodes[-1]
+    witness = find_k4_minus_subdivision(_LATE_WITNESS)
+    assert witness == next(_unpruned_subdivisions(_LATE_WITNESS))
+    assert all(nodes)
 
 
 @given(st.one_of(signed_graphs(max_n=8, max_m=16), part_unions(max_m=16)))
 @example(ghat_planar(1)[0])
 @settings(max_examples=60, deadline=None)
 def test_lookahead_keeps_every_system_in_order(g):
-    # the oracle test sees only find's first witness past the gate; here
-    # every system is listed with the lookahead from the first quadruple
-    # and without it
-    assert (list(structure._systems(g, range(g.m), 0))
+    # the oracle test sees only find's first witness; here every system is
+    # listed with the lookahead and without it
+    assert (list(structure._systems(g, range(g.m), True))
             == list(structure._systems(g, range(g.m))))
 
 
