@@ -240,7 +240,7 @@ for t in range(1, 4):
                     (g, rot), None,
                     crit(3, decomposable=True,
                          planar_face_profile={"faces": 2 * t + 7,
-                                              "negative_faces_at_most": 6}),
+                                              "negative_faces": 2}),
                     ["ladder-planar"]))
 
 ENTRIES += [

@@ -121,23 +121,24 @@ def crit_4_small_classifications() -> tuple:
                 f"k=2 non-decomposable: {len(got2star)}")
 
 
-def crit_5_planar_ten() -> tuple:
-    names = catalog.entries_with_tag("P3*")
-    if len(names) != 10:
-        return False, f"expected 10 flagged entries, found {len(names)}"
+def _verify_tagged(tag: str, count: int, detail: str) -> tuple:
+    """Verify the count catalog entries tagged tag; detail on success."""
+    names = catalog.entries_with_tag(tag)
+    if len(names) != count:
+        return False, f"expected {count} flagged entries, found {len(names)}"
     for name in names:
         catalog.verify(name)  # raises on any mismatch
-    return True, "all ten verified (index, criticality, faces)"
+    return True, detail
+
+
+def crit_5_planar_ten() -> tuple:
+    return _verify_tagged("P3*", 10,
+                          "all ten verified (index, criticality, faces)")
 
 
 def crit_6_star_two() -> tuple:
-    names = catalog.entries_with_tag("S3*")
-    if len(names) != 2:
-        return False, f"expected 2 flagged entries, found {len(names)}"
-    for name in names:
-        catalog.verify(name)
-    return True, "both verified (critical, irreducible, non-decomposable, "\
-                 "packing 1)"
+    return _verify_tagged("S3*", 2, "both verified (critical, irreducible, "
+                          "non-decomposable, packing 1)")
 
 
 def crit_7_join() -> tuple:

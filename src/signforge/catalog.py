@@ -96,20 +96,20 @@ def verify_record(name: str, g: SignedGraph,
 
     if rotation is not None:
         report = verify_planar_critical(g, rotation, k)
-        pexp = exp.get("planar_face_profile", {})
         profile = {
             "faces": report.face_count,
+            "negative_faces": report.negative_face_count,
             "all_negative": report.all_faces_negative,
-            "one_negative_edge_per_face": report.one_negative_edge_per_face,
-            # the expected bound when the count keeps to it, else the count
-            "negative_faces_at_most": max(
-                pexp.get("negative_faces_at_most", 0),
-                report.negative_face_count)}
+            "one_negative_edge_per_face": report.one_negative_edge_per_face}
         got["planar_face_profile"] = {
-            key: value for key, value in profile.items() if key in pexp}
+            key: value for key, value in profile.items()
+            if key in exp.get("planar_face_profile", {})}
 
-    mismatches = {key: (exp[key], got[key]) for key in exp
-                  if got.get(key) != exp[key]}
+    # an expected key that is not computed (a profile without a rotation,
+    # say) is a mismatch too
+    mismatches = {key: (value, got.get(key, "not computed"))
+                  for key, value in exp.items()
+                  if key not in got or got[key] != value}
     if mismatches:
         raise CatalogMismatch(f"{name}: expected vs got {mismatches}")
     return got

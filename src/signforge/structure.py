@@ -49,13 +49,15 @@ leaves a branch vertex fewer usable edges than the later paths ending
 there need.  It yields each system with its edge mask, which the
 enumeration, the decomposition search's index-2 parts and the edge-set
 test read as they are.  `find_k4_minus_subdivision` adds a sign-parity
-lookahead (`_Lookahead`) from its first quadruple: it cuts a step after
-which some triangle not yet closed can no longer close negative through
-the untaken vertices.  Both cuts open only subtrees without a system, so
-the systems, their order and the witness are the plain search's.  The
-enumeration and the edge-set test keep the plain search: the test's
-paths are forced, and most of the enumeration's subtrees hold systems,
-so there the lookahead's walk searches cost more than they cut.
+lookahead (`_Lookahead`) from its first quadruple: it cuts a step onto an
+inner vertex after which some triangle not yet closed can no longer close
+negative through the untaken vertices.  A path boundary asks nothing, as
+the next path's first inner step asks again with one more vertex taken.
+Both cuts open only subtrees without a system, so the systems, their
+order and the witness are the plain search's.  The enumeration and the
+edge-set test keep the plain search: the test's paths are forced, and
+most of the enumeration's subtrees hold systems, so there the
+lookahead's walk searches cost more than they cut.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import guards
 from .core import NEG, POS, SignedGraph, _ids, build_graph
@@ -152,11 +154,12 @@ def _systems(g: SignedGraph, eids: Iterable[int],
     it already took.  A direct edge needs no check: when path pi starts,
     both its ends still hold one edge more than the later paths need.
 
-    With the lookahead, every step onto an inner vertex and every path
-    boundary also asks `_Lookahead.completable` whether each triangle not
-    yet closed can still close negative, and a step where one cannot is
-    skipped.  Both cuts open only subtrees without a system, so the
-    systems and their order are those of the unpruned search.
+    With the lookahead, every step onto an inner vertex also asks
+    `_Lookahead.completable` whether each triangle not yet closed can
+    still close negative, and a step where one cannot is skipped; a path
+    boundary is not asked, as the next path's first inner step asks with
+    one more vertex taken.  Both cuts open only subtrees without a system,
+    so the systems and their order are those of the unpruned search.
     """
     adj = _adjacency(g, eids)
     bits = _bits(adj)
@@ -206,12 +209,10 @@ def _grow(adj: dict, quad: tuple, bits: dict, hits: dict, free: list,
                 if pi == 5:
                     yield used | 1 << eid, tuple([p for p, _ in done])
                 else:
-                    x = quad[_PAIR_ORDER[pi + 1][0]]
-                    if look is None or look.completable(
-                            quad, done, pi + 1, bits[x], POS, taken):
-                        yield from _grow(adj, quad, bits, hits, free,
-                                         taken, steps, done, used | 1 << eid,
-                                         pi + 1, x, POS, len(steps), look)
+                    yield from _grow(adj, quad, bits, hits, free, taken,
+                                     steps, done, used | 1 << eid, pi + 1,
+                                     quad[_PAIR_ORDER[pi + 1][0]], POS,
+                                     len(steps), look)
             done.pop()
             steps.pop()
             if direct:
@@ -482,20 +483,13 @@ def suppress(g: SignedGraph, v) -> SignedGraph:
     return build_graph(edge_list, isolated=isolated)
 
 
-def reduce_to_irreducible(g: SignedGraph,
-                          choose: Optional[Callable] = None) -> SignedGraph:
-    """Suppress vertices until none is suppressible.
-
-    choose picks among the currently suppressible vertices (default: least
-    by vertex order); the fixpoint is unique up to switching isomorphism
-    regardless, which the test suite checks with randomized orders.
-    """
-    while True:
-        cand = suppressible_vertices(g)
-        if not cand:
-            return g
-        v = cand[0] if choose is None else choose(cand)
-        g = suppress(g, v)
+def reduce_to_irreducible(g: SignedGraph) -> SignedGraph:
+    """Suppress the least suppressible vertex until none is left.  The
+    fixpoint is unique up to switching isomorphism whatever the order,
+    which the test suite checks with randomized orders."""
+    while cand := suppressible_vertices(g):
+        g = suppress(g, cand[0])
+    return g
 
 
 # -- star-class membership ---------------------------------------------------------
@@ -662,10 +656,6 @@ def _search(s: _Stream, remaining: int, budget: int, dead: int,
     # family avoiding e0, leave over; at budget 2 that family is empty.
     # Cycles are even, so a family of cycles alone leaves the odd-degree
     # vertices of rest, and a K4- has four
-    if budget == 2:
-        if parts and s.odd4 and _k4_minus_edge_set(g, remaining):
-            yield parts + ((remaining, 2),)
-        return
     avail = remaining ^ low
     members = [p for j in range(1, budget - 1) for p in s.source(j)
                if not p[0] & ~avail]

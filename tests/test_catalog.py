@@ -84,6 +84,19 @@ def test_get_hands_out_no_shared_records():
     assert second.graph is not first.graph
 
 
+def test_keys_it_does_not_compute_or_match_are_mismatches():
+    entry = catalog.get("ladder-planar-1")
+    assert entry.expected["planar_face_profile"] == {"faces": 9,
+                                                     "negative_faces": 2}
+    for rotation, exp, key in (
+            (None, entry.expected, "planar_face_profile"),
+            (entry.rotation, {**entry.expected, "extra": 1}, "extra"),
+            (entry.rotation, {**entry.expected, "planar_face_profile": {
+                "faces": 9, "negative_faces": 3}}, "negative_faces")):
+        with pytest.raises(CatalogMismatch, match=key):
+            catalog.verify_record("lp1", entry.graph, rotation, exp)
+
+
 def _build_script():
     import importlib.util
     import pathlib

@@ -98,8 +98,9 @@ def test_reduction_is_confluent_up_to_switching_isomorphism():
     baseline = reduce_to_irreducible(g)
     rng = random.Random(7)
     for _ in range(5):
-        r = reduce_to_irreducible(
-            g, choose=lambda cands, rng=rng: rng.choice(sorted(cands, key=str)))
+        r = g
+        while cands := suppressible_vertices(r):
+            r = suppress(r, rng.choice(sorted(cands, key=str)))
         assert switching_isomorphic(r, baseline) is not None
 
 
@@ -399,11 +400,26 @@ def test_lookahead_cuts_the_search_from_the_first_quadruple(monkeypatch):
         nodes.clear()
         assert find_k4_minus_subdivision(ghat_planar(t)[0]) is None
         counts.append((nodes.count(False), nodes.count(True)))
-    assert counts == [(0, 105), (0, 514), (0, 1663)]
+    assert counts == [(0, 109), (0, 521), (0, 1676)]
     nodes.clear()
     witness = find_k4_minus_subdivision(_LATE_WITNESS)
     assert witness == next(_unpruned_subdivisions(_LATE_WITNESS))
     assert all(nodes)
+
+
+def test_lookahead_is_asked_at_inner_steps_only(monkeypatch):
+    # a path boundary asks nothing: the next path's first inner step asks
+    # again, with one more vertex taken
+    completable, inner = structure._Lookahead.completable, []
+
+    def recorded(self, quad, done, pi, v, sign, taken):
+        inner.append(v not in [self.bits[x] for x in quad])
+        return completable(self, quad, done, pi, v, sign, taken)
+
+    monkeypatch.setattr(structure._Lookahead, "completable", recorded)
+    for g in (ghat_planar(1)[0], ghat_planar(2)[0], _LATE_WITNESS):
+        find_k4_minus_subdivision(g)
+    assert inner and all(inner)
 
 
 @given(st.one_of(signed_graphs(max_n=8, max_m=16), part_unions(max_m=16)))
